@@ -25,7 +25,6 @@ from .engine import (
     NumericalIntegrityError,
     RateResult,
     RecordBatch,
-    ShotRecord,
     coherence_probe,
     dd_scan,
     parity_visibility_run,
@@ -64,7 +63,7 @@ __all__ = [
     "MeasBasis", "MeasurementPlan", "NoiseConfig",
     "NumericalIntegrityError", "ParityCurve", "ProtocolConfig",
     "PulseSchedule", "RateFit", "RateResult", "RecordBatch",
-    "RecordsFormatError", "RunConfig", "ScheduleError", "ShotRecord",
+    "RecordsFormatError", "RunConfig", "ScheduleError",
     "Sublevel", "TimingTable", "WitnessResult", "build_schedule",
     "calibrate_field", "cluster_witness", "coherence_envelope",
     "coherence_probe", "dd_scan", "decay_fit", "dense_run", "fidelity",

@@ -1,9 +1,9 @@
 """Estimators and fits over shot records.
 
-Every function accepts either a :class:`~photonchain.engine.RecordBatch`
-(the engine's column-wise output), a list of ``ShotRecord`` objects, or a
-sequence of batches (for multi-setting estimators).  Estimates carry a
-value, a 1-sigma standard error and the post-selected event count.
+Every estimator reads :class:`~photonchain.engine.RecordBatch` columns:
+one batch per measurement setting, or a sequence of batches for the
+multi-setting estimators.  Estimates carry a value, a 1-sigma standard
+error and the post-selected event count.
 
 Witness product terms (the (1+S)/2 factors of the fidelity bounds) are
 estimated per event -- the product observable is evaluated shot by shot
@@ -83,36 +83,17 @@ class WitnessResult:
 # ---------------------------------------------------------------------------
 # record access
 
-def _columns(records):
-    """(bases, detected, outcomes) arrays from any accepted record form."""
-    if hasattr(records, "outcomes") and hasattr(records, "detected"):
-        return records.bases, np.asarray(records.detected), \
-            np.asarray(records.outcomes)
-    records = list(records)
-    if not records:
-        raise InsufficientDataError("empty record collection")
-    first = records[0]
-    if hasattr(first, "outcomes") and hasattr(first, "run_id"):
-        bases = first.bases
-        det = np.array([r.detected for r in records], dtype=bool)
-        out = np.array([[o if o is not None else 0 for o in r.outcomes]
-                        for r in records], dtype=np.int8)
-        return bases, det, out
-    raise TypeError(f"unrecognized record collection: {type(first)!r}")
+def _columns(batch):
+    """(bases, detected, outcomes) arrays of one record batch."""
+    return batch.bases, np.asarray(batch.detected), np.asarray(batch.outcomes)
 
 
 def _setting_groups(records):
-    """Iterate (bases, detected, outcomes) over one or many settings."""
-    if hasattr(records, "outcomes"):
-        yield _columns(records)
-        return
-    records = list(records)
-    if records and (hasattr(records[0], "outcomes")
-                    and not hasattr(records[0], "run_id")):
-        for batch in records:     # sequence of batches
-            yield _columns(batch)
-        return
-    yield _columns(records)
+    """(bases, detected, outcomes) of one batch or of each of a sequence."""
+    batches = [records] if hasattr(records, "outcomes") else list(records)
+    if not batches:
+        raise InsufficientDataError("empty record collection")
+    return [_columns(b) for b in batches]
 
 
 def _binomial_se(p: float, n: int) -> float:
@@ -295,7 +276,7 @@ def stabilizers(records, n_photons: int) -> list:
     (X on photon k, Z on the neighbours).  Only the window photons must
     be detected, not the whole string.
     """
-    groups = list(_setting_groups(records))
+    groups = _setting_groups(records)
     out = []
     for k in range(1, n_photons + 1):
         window = _stabilizer_pattern(k, n_photons)

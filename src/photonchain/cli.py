@@ -2,7 +2,9 @@
 
 Output files land in --outdir (or the PHOTONCHAIN_OUTDIR environment
 variable, or the working directory).  Exit codes: 0 success, 2 invalid
-configuration or usage, 3 I/O failure.
+configuration, usage or records file, 3 I/O failure, 4 the data support
+no estimate (no post-selected events, a degenerate fit) or the
+simulation lost numerical integrity.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import numpy as np
 
 from . import analysis as an
 from . import io as pio
-from .engine import coherence_probe, dd_scan, rate_benchmark, run_batch
+from .engine import (NumericalIntegrityError, coherence_probe, dd_scan,
+                     rate_benchmark, run_batch)
 from .noise import NoiseConfig, calibrate_field, raman_sigma_for_infidelity
 from .schedule import ProtocolConfig
 
@@ -397,6 +400,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
+    except (an.InsufficientDataError, an.FitError,
+            NumericalIntegrityError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

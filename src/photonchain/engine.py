@@ -21,21 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as crng
-from .levels import (CLOSING_DOMAIN, CYCLING_DOMAIN, EMIT_CLOSING,
-                     EMIT_CYCLING, EMIT_INITIAL, INITIAL_DOMAIN, OMEGA_L,
-                     MeasBasis, Sublevel, precession_coefficients)
+from .levels import PUMPED, MeasBasis, Sublevel
 from .noise import NoiseConfig
-from .schedule import (COHERENCE, DDSCAN, EMIT, PULSE, PUMP, ProtocolConfig,
-                       PulseSchedule, build_schedule, run_period)
+from .schedule import (COHERENCE, DDSCAN, EmitOp, PrecessOp, ProtocolConfig,
+                       PulseOp, PulseSchedule, PumpOp, ScatterOp,
+                       build_schedule, compile_schedule, run_period)
 
-_DOMAIN = {"initial": np.array(INITIAL_DOMAIN),
-           "cycling": np.array(CYCLING_DOMAIN),
-           "closing": np.array(CLOSING_DOMAIN)}
-_V_DOM = {"initial": EMIT_INITIAL[:, list(INITIAL_DOMAIN)],
-          "cycling": EMIT_CYCLING[:, list(CYCLING_DOMAIN)],
-          "closing": EMIT_CLOSING[:, list(CLOSING_DOMAIN)]}
-
-_PUMPED = Sublevel(2, 0).index
 _SCAT_A = Sublevel(2, 1).index
 _SCAT_B = Sublevel(2, -1).index
 
@@ -46,22 +37,9 @@ class NumericalIntegrityError(RuntimeError):
     """Internal norm drift beyond tolerance."""
 
 
-@dataclass(frozen=True)
-class ShotRecord:
-    """Per-run outcome log."""
-
-    run_id: int
-    attempts_used: int
-    delta: float
-    bases: tuple[MeasBasis, ...]
-    detected: tuple[bool, ...]
-    outcomes: tuple       # +1 / -1, or None where undetected
-    wall_clock_offset: float
-
-
 @dataclass
 class RecordBatch:
-    """Column-wise shot records (the engine's native output form)."""
+    """Column-wise shot records, one row per shot."""
 
     bases: tuple[MeasBasis, ...]
     detected: np.ndarray    # (shots, N) bool
@@ -78,22 +56,6 @@ class RecordBatch:
     @property
     def n_photons(self) -> int:
         return self.detected.shape[1]
-
-    def to_records(self) -> list[ShotRecord]:
-        out = []
-        for i in range(self.n_shots):
-            outcomes = tuple(int(o) if o != 0 else None
-                             for o in self.outcomes[i])
-            out.append(ShotRecord(
-                run_id=int(self.run_ids[i]),
-                attempts_used=int(self.attempts[i]),
-                delta=float(self.deltas[i]),
-                bases=self.bases,
-                detected=tuple(bool(d) for d in self.detected[i]),
-                outcomes=outcomes,
-                wall_clock_offset=float(self.run_ids[i]) * self.period,
-            ))
-        return out
 
     def concat(self, other: "RecordBatch") -> "RecordBatch":
         if other.bases != self.bases:
@@ -123,10 +85,9 @@ def _field_deltas(noise, seed, shots):
     return noise.b_sigma * crng.normal(seed, shots, crng.FIELD_DRAW)
 
 
-def _simulate_chunk(sched: PulseSchedule, noise: NoiseConfig, bases,
-                    seed: int, lo: int, hi: int,
-                    abort_on_loss: bool, omega_l: float,
-                    flip_f2_sign: bool) -> RecordBatch:
+def _simulate_chunk(sched: PulseSchedule, ops: tuple, noise: NoiseConfig,
+                    bases, seed: int, lo: int, hi: int,
+                    abort_on_loss: bool) -> RecordBatch:
     shots = np.arange(lo, hi, dtype=np.uint64)
     size = hi - lo
     n = sched.n_photons
@@ -160,7 +121,6 @@ def _simulate_chunk(sched: PulseSchedule, noise: NoiseConfig, bases,
     # cycling stage; drop them from state evolution right away
     cur = np.flatnonzero(any_hit)
     amps = np.zeros((len(cur), 8), dtype=complex)
-    coeff = precession_coefficients(flip_f2_sign)
 
     def cur_shots():
         return shots[cur]
@@ -175,26 +135,21 @@ def _simulate_chunk(sched: PulseSchedule, noise: NoiseConfig, bases,
             return delta_static[cur]
         return None
 
-    for step in sched.steps:
+    for op in ops:
         if len(cur) == 0:
             break
-        if step.duration > 0 and step.kind != PUMP:
-            d = cur_delta(step.cycle)
-            base = coeff * (omega_l * step.duration)
-            if step.lab_frame:
-                # uncompensated delay: deterministic precession included
-                scale = 1.0 + d if d is not None else np.ones(len(cur))
-                amps *= np.exp(-1j * np.outer(scale, base))
-            elif d is not None:
-                # co-rotating frame: only the field offset produces phase
-                amps *= np.exp(-1j * np.outer(d, base))
+        if isinstance(op, PrecessOp):
+            d = cur_delta(op.cycle)
+            # without a field offset the co-rotating frame has no phase
+            if op.lab_frame or d is not None:
+                amps *= op.phases(np.zeros(len(cur)) if d is None else d)
 
-        if step.kind == PUMP:
+        elif isinstance(op, PumpOp):
             amps[:] = 0.0
-            amps[:, _PUMPED] = 1.0
+            amps[:, PUMPED] = 1.0
 
-        elif step.kind == PULSE:
-            for (ia, ib, theta, phase, draw) in step.pulses:
+        elif isinstance(op, PulseOp):
+            for (ia, ib, theta, phase, draw) in op.pulses:
                 if noise.raman_sigma > 0.0:
                     th = theta + noise.raman_sigma * crng.normal(
                         seed, cur_shots(), draw)
@@ -208,7 +163,9 @@ def _simulate_chunk(sched: PulseSchedule, noise: NoiseConfig, bases,
                 vb = amps[:, ib]
                 amps[:, ia] = c * va + s * np.conj(ep) * vb
                 amps[:, ib] = s * ep * va + c * vb
-            if step.scatter_point and noise.closing_scatter_p > 0.0:
+
+        elif isinstance(op, ScatterOp):
+            if noise.closing_scatter_p > 0.0:
                 u = crng.uniform(seed, cur_shots(), crng.SCATTER_DECISION)
                 hit = u < noise.closing_scatter_p
                 if np.any(hit):
@@ -220,13 +177,12 @@ def _simulate_chunk(sched: PulseSchedule, noise: NoiseConfig, bases,
                     amps[hit, _SCAT_B] = (np.sqrt(1.0 - u1)
                                           * np.exp(2j * np.pi * u2))
 
-        elif step.kind == EMIT:
-            slot = step.slot
-            dom = _DOMAIN[step.emit_kind]
-            vdom = _V_DOM[step.emit_kind]
+        elif isinstance(op, EmitOp):
+            slot = op.slot
+            dom = op.domain
             sub = amps[:, dom]
             p_emit = np.sum(np.abs(sub) ** 2, axis=1)
-            joint = (sub @ vdom.T).reshape(-1, 8, 2)
+            joint = (sub @ op.vdom.T).reshape(-1, 8, 2)
 
             if slot == 0:
                 det = np.ones(len(cur), dtype=bool)
@@ -300,7 +256,6 @@ def _simulate_chunk(sched: PulseSchedule, noise: NoiseConfig, bases,
 
 def run_batch(cfg, noise: NoiseConfig, basis_plan, shots: int, seed: int,
               threads: int = 1, abort_on_loss: bool = False,
-              omega_l: float = OMEGA_L,
               flip_f2_sign: bool = True) -> RecordBatch:
     """Simulate ``shots`` independent runs of the protocol.
 
@@ -316,6 +271,7 @@ def run_batch(cfg, noise: NoiseConfig, basis_plan, shots: int, seed: int,
             f"{sched.n_photons} photons")
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    ops = compile_schedule(sched, flip_f2_sign)
     ranges = [(lo, min(lo + CHUNK, shots)) for lo in range(0, shots, CHUNK)]
 
     # preallocate the full batch and let each chunk fill its slice: at
@@ -330,8 +286,8 @@ def run_batch(cfg, noise: NoiseConfig, basis_plan, shots: int, seed: int,
 
     def work(rg):
         lo, hi = rg
-        c = _simulate_chunk(sched, noise, basis_plan, seed, lo, hi,
-                            abort_on_loss, omega_l, flip_f2_sign)
+        c = _simulate_chunk(sched, ops, noise, basis_plan, seed, lo, hi,
+                            abort_on_loss)
         detected[lo:hi] = c.detected
         outcomes[lo:hi] = c.outcomes
         attempts[lo:hi] = c.attempts
@@ -351,13 +307,13 @@ def run_batch(cfg, noise: NoiseConfig, basis_plan, shots: int, seed: int,
 
 
 def run_shot(schedule, noise: NoiseConfig, bases, seed: int,
-             shot_index: int = 0) -> ShotRecord:
-    """Single shot, drawn from the stream (seed, shot_index)."""
+             shot_index: int = 0) -> RecordBatch:
+    """Single shot, drawn from the stream (seed, shot_index), as a one-row
+    batch equal to row ``shot_index`` of :func:`run_batch`."""
     sched = schedule if isinstance(schedule, PulseSchedule) \
         else build_schedule(schedule)
-    batch = _simulate_chunk(sched, noise, bases, seed, shot_index,
-                            shot_index + 1, False, OMEGA_L, True)
-    return batch.to_records()[0]
+    return _simulate_chunk(sched, compile_schedule(sched), noise, bases,
+                           seed, shot_index, shot_index + 1, False)
 
 
 # ---------------------------------------------------------------------------

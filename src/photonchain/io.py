@@ -2,8 +2,8 @@
 
 Records are delimited text, one row per shot (run_id, attempts, delta,
 then per-photon triples detected/basis/outcome), with a header line
-carrying the format version, a hash of the generating config and the
-seed.  The hash is checked on re-load so records are never analyzed
+carrying the format version, a hash of the generating config, the seed,
+the photon count and the run period.  The hash is checked on re-load so records are never analyzed
 against the wrong post-selection assumptions.  Summaries are JSON with
 sorted keys, so re-running an analysis on the same records reproduces
 the summary byte-identically.
@@ -91,6 +91,8 @@ class ExecutionPlan:
     def __post_init__(self):
         if self.shots < 1 or self.threads < 1:
             raise ConfigError("shots and threads must be positive")
+        if not 0 <= self.seed < 2 ** 63:
+            raise ConfigError(f"seed {self.seed} outside [0, 2^63)")
         if self.duration <= 0:
             raise ConfigError("duration must be positive")
 
@@ -187,6 +189,7 @@ def load_config(path) -> RunConfig:
 
 _OUTCOME_CODE = {1: "+1", -1: "-1", 0: "."}
 _OUTCOME_VALUE = {"+1": 1, "-1": -1, ".": 0}
+_DETECTED_VALUE = {"1": True, "0": False}
 
 
 def write_records(path, batches, config_hash: str, seed: int) -> None:
@@ -196,9 +199,12 @@ def write_records(path, batches, config_hash: str, seed: int) -> None:
     if not batches:
         raise ValueError("nothing to write")
     n = batches[0].n_photons
+    period = batches[0].period
+    if any(b.period != period for b in batches):
+        raise ValueError("mixed run periods in one records file")
     with open(path, "w", newline="") as fh:
         fh.write(f"# {FORMAT_VERSION} config={config_hash} seed={seed} "
-                 f"n={n}\n")
+                 f"n={n} period={period!r}\n")
         writer = csv.writer(fh)
         header = ["run_id", "attempts", "delta"]
         for k in range(n):
@@ -222,8 +228,9 @@ def read_records(path, expect_hash: str | None = None):
     """Read a records file back into batches grouped by basis plan.
 
     Returns ``(header, batches)`` where header is a dict with the config
-    hash, seed and photon count.  A mismatching ``expect_hash`` raises
-    :class:`RecordsFormatError` rather than silently mis-analyzing.
+    hash, seed, photon count and run period.  A mismatching
+    ``expect_hash`` raises :class:`RecordsFormatError` rather than
+    silently mis-analyzing, and so does a malformed cell, naming its line.
     """
     with open(path) as fh:
         first = fh.readline().strip()
@@ -233,7 +240,8 @@ def read_records(path, expect_hash: str | None = None):
                     for tok in first.split()[3:] if "=" in tok)
         header = {"config": meta.get("config", ""),
                   "seed": int(meta.get("seed", 0)),
-                  "n": int(meta.get("n", 0))}
+                  "n": int(meta.get("n", 0)),
+                  "period": float(meta.get("period", 0.0))}
         if expect_hash is not None and header["config"] != expect_hash:
             raise RecordsFormatError(
                 f"{path}: config hash {header['config']} does not match "
@@ -244,23 +252,28 @@ def read_records(path, expect_hash: str | None = None):
         if n != header["n"]:
             raise RecordsFormatError(f"{path}: column count disagrees with "
                                      f"header n={header['n']}")
-        groups: dict[tuple, list] = {}
-        order: list[tuple] = []
+        groups: dict[tuple, tuple] = {}   # codes -> (bases, rows)
+        # errors name the file line: reader.line_num + 1, since the
+        # header line was read before the csv reader started
         for row in reader:
             if len(row) != 3 + 3 * n:
-                raise RecordsFormatError(f"{path}: ragged row {row[:2]}")
-            codes = tuple(row[3 + 3 * k + 1] for k in range(n))
-            if codes not in groups:
-                groups[codes] = []
-                order.append(codes)
-            det = [row[3 + 3 * k] == "1" for k in range(n)]
-            out = [_OUTCOME_VALUE[row[3 + 3 * k + 2]] for k in range(n)]
-            groups[codes].append(
-                (int(row[0]), int(row[1]), float(row[2]), det, out))
+                raise RecordsFormatError(
+                    f"{path}:{reader.line_num + 1}: ragged row {row[:2]}")
+            try:
+                codes = tuple(row[3 + 3 * k + 1] for k in range(n))
+                if codes not in groups:
+                    groups[codes] = (
+                        tuple(MeasBasis.from_code(c) for c in codes), [])
+                det = [_DETECTED_VALUE[row[3 + 3 * k]] for k in range(n)]
+                out = [_OUTCOME_VALUE[row[3 + 3 * k + 2]] for k in range(n)]
+                entry = (int(row[0]), int(row[1]), float(row[2]), det, out)
+            except (KeyError, ValueError) as exc:
+                raise RecordsFormatError(
+                    f"{path}:{reader.line_num + 1}: malformed cell "
+                    f"({exc})") from exc
+            groups[codes][1].append(entry)
     batches = []
-    for codes in order:
-        rows = groups[codes]
-        bases = tuple(MeasBasis.from_code(c) for c in codes)
+    for bases, rows in groups.values():
         batches.append(RecordBatch(
             bases=bases,
             detected=np.array([r[3] for r in rows], dtype=bool),
@@ -268,7 +281,7 @@ def read_records(path, expect_hash: str | None = None):
             attempts=np.array([r[1] for r in rows], dtype=np.int16),
             deltas=np.array([r[2] for r in rows]),
             run_ids=np.array([r[0] for r in rows], dtype=np.int64),
-            period=0.0,
+            period=header["period"],
         ))
     return header, batches
 

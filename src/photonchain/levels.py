@@ -1,4 +1,4 @@
-"""Exact primitives for the 8-level emitter and its polarization photons.
+"""Level structure of the 8-level emitter and its polarization photons.
 
 The emitter lives in the 8 ground Zeeman sublevels |F, mF> with F in {1, 2}.
 Photons are polarization qubits in the circular basis (R, L), with R playing
@@ -11,12 +11,10 @@ Sublevel ordering used everywhere (index 0..7):
 Joint atom+photon vectors have 16 components indexed ``atom * 2 + photon``
 with photon 0 = R, 1 = L.
 
-All operations are pure: they take a state and return a new one.  The
-emission maps are stored as full 16x8 matrices whose physical-domain
-columns form an exact isometry; columns outside the domain are completed
-arbitrarily (level -> level tensor R) to keep the matrices total, and the
-operations below reject inputs with population on those columns, since
-reaching them means the pulse sequence is out of order.
+This module holds the physical constants every simulator shares: the
+Larmor phase rates, the two-level Raman rotation, the emission table and
+the measurement bases.  The step semantics built from them live in the
+compiled schedule (:func:`photonchain.schedule.compile_schedule`).
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ import numpy as np
 
 OMEGA_L = 2.0 * np.pi * 100e3  # Larmor angular frequency, rad/s
 
-NORM_TOL = 1e-9
 DOMAIN_TOL = 1e-9
 
 
@@ -63,6 +60,9 @@ SUBLEVELS = tuple(
 )
 _INDEX = {(s.F, s.mF): i for i, s in enumerate(SUBLEVELS)}
 
+# Optical pumping prepares |2,0>, the source level of the first emission.
+PUMPED = _INDEX[(2, 0)]
+
 # Manifold sign of the Larmor phase: opposite in the two hyperfine manifolds.
 MANIFOLD_SIGN = {1: +1.0, 2: -1.0}
 
@@ -79,9 +79,6 @@ def precession_coefficients(flip_f2_sign: bool = True) -> np.ndarray:
         sign = MANIFOLD_SIGN[s.F] if (flip_f2_sign or s.F == 1) else MANIFOLD_SIGN[1]
         coeff[i] = sign * s.mF
     return coeff
-
-
-PRECESSION_COEFF = precession_coefficients()
 
 
 @dataclass(frozen=True)
@@ -140,70 +137,11 @@ class MeasBasis:
         raise ValueError(f"unknown basis code {code!r}")
 
 
-def _as_amps(state, dim, name):
-    amps = np.asarray(getattr(state, "amps", state), dtype=complex)
-    if amps.shape != (dim,):
-        raise ValueError(f"{name} must have shape ({dim},), got {amps.shape}")
-    return amps
-
-
-class AtomKet:
-    """Normalized amplitude vector over the 8 ground sublevels."""
-
-    def __init__(self, amps, check: bool = True):
-        self.amps = _as_amps(amps, 8, "AtomKet")
-        if check and abs(np.linalg.norm(self.amps) - 1.0) > NORM_TOL:
-            raise ValueError("AtomKet is not normalized")
-
-    @classmethod
-    def basis(cls, level: Sublevel) -> "AtomKet":
-        amps = np.zeros(8, dtype=complex)
-        amps[level.index] = 1.0
-        return cls(amps)
-
-    def population(self, level: Sublevel) -> float:
-        return float(abs(self.amps[level.index]) ** 2)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-
-class JointKet:
-    """Transient atom (x) photon state between emission and measurement."""
-
-    def __init__(self, amps, check: bool = True):
-        self.amps = _as_amps(amps, 16, "JointKet")
-        if check and abs(np.linalg.norm(self.amps) - 1.0) > NORM_TOL:
-            raise ValueError("JointKet is not normalized")
-
-    def matrix(self) -> np.ndarray:
-        """Amplitudes reshaped to (atom, photon)."""
-        return self.amps.reshape(8, 2)
-
-
-def raman_rotation(state: AtomKet, a: Sublevel, b: Sublevel,
-                   theta: float, phase: float = 0.0) -> AtomKet:
-    """Two-level rotation exp(-i theta/2 (cos phase X + sin phase Y)) on
-    span{a, b}, identity elsewhere."""
-    if a == b:
-        raise InvalidPulseError(f"pulse levels coincide: {a}")
-    amps = state.amps.copy()
-    ia, ib = a.index, b.index
-    c = np.cos(theta / 2.0)
-    s = -1j * np.sin(theta / 2.0)
-    va, vb = amps[ia], amps[ib]
-    amps[ia] = c * va + s * np.exp(-1j * phase) * vb
-    amps[ib] = s * np.exp(1j * phase) * va + c * vb
-    return AtomKet(amps)
-
-
-def rotation_matrix(a: Sublevel, b: Sublevel, theta: float,
+def rotation_matrix(ia: int, ib: int, theta: float,
                     phase: float = 0.0) -> np.ndarray:
-    """8x8 unitary of :func:`raman_rotation` (used by oracle and engine)."""
-    if a == b:
-        raise InvalidPulseError(f"pulse levels coincide: {a}")
+    """8x8 unitary exp(-i theta/2 (cos phase X + sin phase Y)) on
+    span{ia, ib}, identity elsewhere."""
     u = np.eye(8, dtype=complex)
-    ia, ib = a.index, b.index
     c = np.cos(theta / 2.0)
     s = -1j * np.sin(theta / 2.0)
     u[ia, ia] = c
@@ -213,135 +151,36 @@ def rotation_matrix(a: Sublevel, b: Sublevel, theta: float,
     return u
 
 
-def _joint_index(level: Sublevel, photon: int) -> int:
-    return level.index * 2 + photon
-
 R, L = 0, 1
-
-
-def _completed_isometry(mapping) -> np.ndarray:
-    """Build a 16x8 emission map from {source: [(target, photon, amp), ...]}.
-
-    The mapped columns form an exact isometry on their span.  Levels
-    absent from ``mapping`` are completed as level -> level (x) R so every
-    column stays normalized; those columns are outside the physical domain
-    and are guarded by the domain checks below.
-    """
-    v = np.zeros((16, 8), dtype=complex)
-    for src in SUBLEVELS:
-        if src in mapping:
-            for tgt, photon, amp in mapping[src]:
-                v[_joint_index(tgt, photon), src.index] = amp
-        else:
-            v[_joint_index(src, R), src.index] = 1.0
-    return v
-
-
-_l = lambda F, mF: Sublevel(F, mF)
 _s2 = 1.0 / np.sqrt(2.0)
 
-# |2,0> -> (|1,1>|R> - |1,-1>|L>)/sqrt(2)
-EMIT_INITIAL = _completed_isometry({
-    _l(2, 0): [(_l(1, 1), R, _s2), (_l(1, -1), L, -_s2)],
-})
-INITIAL_DOMAIN = (_l(2, 0).index,)
-
-# |2,+2> -> |1,+1>|R>,  |2,-2> -> |1,-1>|L>   (both with + sign)
-EMIT_CYCLING = _completed_isometry({
-    _l(2, 2): [(_l(1, 1), R, 1.0)],
-    _l(2, -2): [(_l(1, -1), L, 1.0)],
-})
-CYCLING_DOMAIN = (_l(2, -2).index, _l(2, 2).index)
-
-# |2,-1> -> +|1,0>|R>,  |2,+1> -> -|1,0>|L>
-# The sign/assignment is the unique choice (verified against the dense
-# oracle) for which the full protocol yields (R^N + L^N)/sqrt(2) exactly.
-EMIT_CLOSING = _completed_isometry({
-    _l(2, -1): [(_l(1, 0), R, 1.0)],
-    _l(2, 1): [(_l(1, 0), L, -1.0)],
-})
-CLOSING_DOMAIN = (_l(2, -1).index, _l(2, 1).index)
+# Emission table: kind -> {source (F, mF): ((target (F, mF), photon, amp), ...)}
+EMISSIONS = {
+    # |2,0> -> (|1,1>|R> - |1,-1>|L>)/sqrt(2)
+    "initial": {(2, 0): (((1, 1), R, _s2), ((1, -1), L, -_s2))},
+    # |2,+2> -> |1,+1>|R>,  |2,-2> -> |1,-1>|L>   (both with + sign)
+    "cycling": {(2, 2): (((1, 1), R, 1.0),),
+                (2, -2): (((1, -1), L, 1.0),)},
+    # |2,-1> -> +|1,0>|R>,  |2,+1> -> -|1,0>|L>
+    # The sign/assignment is the unique choice (verified against the dense
+    # oracle) for which the full protocol yields (R^N + L^N)/sqrt(2) exactly.
+    "closing": {(2, -1): (((1, 0), R, 1.0),),
+                (2, 1): (((1, 0), L, -1.0),)},
+}
 
 
-def _emit(state: AtomKet, isometry: np.ndarray, domain, what: str) -> JointKet:
-    pop_out = 1.0 - sum(abs(state.amps[i]) ** 2 for i in domain)
-    if pop_out > DOMAIN_TOL:
-        raise EmissionLevelError(
-            f"{what}: population {pop_out:.3e} outside emission levels "
-            "(pulse sequencing bug?)")
-    return JointKet(isometry @ state.amps)
+def emission_map(kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(domain, vdom)`` of one emission kind.
 
-
-def emit_initial(state: AtomKet) -> JointKet:
-    """First emission: |2,0> -> (|1,1>|R> - |1,-1>|L>)/sqrt(2)."""
-    return _emit(state, EMIT_INITIAL, INITIAL_DOMAIN, "emit_initial")
-
-
-def emit_cycling(state: AtomKet) -> JointKet:
-    """Cycling emission from the stretched qubit: |2,+-2> -> |1,+-1>|R/L>."""
-    return _emit(state, EMIT_CYCLING, CYCLING_DOMAIN, "emit_cycling")
-
-
-def emit_closing(state: AtomKet) -> JointKet:
-    """Closing emission: both |2,-+1> branches terminate in |1,0>."""
-    return _emit(state, EMIT_CLOSING, CLOSING_DOMAIN, "emit_closing")
-
-
-def precession_phases(duration: float, delta: float = 0.0,
-                      omega_l: float = OMEGA_L,
-                      coeff: np.ndarray | None = None) -> np.ndarray:
-    """Phase factors exp(-i s_F mF w_L (1+delta) t) per sublevel."""
-    if duration < 0:
-        raise ValueError("negative precession duration")
-    if coeff is None:
-        coeff = PRECESSION_COEFF
-    return np.exp(-1j * coeff * omega_l * (1.0 + delta) * duration)
-
-
-def rotating_frame_phases(duration: float, delta: float = 0.0,
-                          omega_l: float = OMEGA_L,
-                          coeff: np.ndarray | None = None) -> np.ndarray:
-    """Precession phases in the frame co-rotating with the deterministic
-    Zeeman evolution: exp(-i s_F mF w_L delta t) per sublevel.
-
-    The drive and detection phases are locked to the nominal Zeeman
-    splittings, so within a protocol schedule only the fractional field
-    offset ``delta`` produces physical phase; the full lab-frame evolution
-    (:func:`larmor_precess`) matters only for uncompensated delays.
+    ``domain`` holds the source sublevel indices in ascending order and
+    ``vdom`` the (16, len(domain)) map from their amplitudes into the
+    joint atom (x) photon space, an exact isometry.  Population outside
+    the domain cannot emit.
     """
-    if duration < 0:
-        raise ValueError("negative precession duration")
-    if coeff is None:
-        coeff = PRECESSION_COEFF
-    return np.exp(-1j * coeff * omega_l * delta * duration)
-
-
-def larmor_precess(state, duration: float, delta: float = 0.0,
-                   omega_l: float = OMEGA_L):
-    """Larmor phase evolution of the atomic sublevels.
-
-    Acts on an :class:`AtomKet` or on the atom factor of a
-    :class:`JointKet`; the photon factor is untouched.
-    """
-    ph = precession_phases(duration, delta, omega_l)
-    if isinstance(state, JointKet):
-        return JointKet((state.matrix() * ph[:, None]).reshape(16))
-    return AtomKet(state.amps * ph)
-
-
-def measure_photon(joint: JointKet, basis: MeasBasis, rng) -> tuple[int, AtomKet]:
-    """Born-rule measurement of the photon factor.
-
-    Returns the sampled outcome (+1 or -1) and the renormalized
-    post-measurement atomic state.  ``rng`` is a ``numpy.random.Generator``.
-    """
-    m = joint.matrix()
-    a_plus = m @ basis.plus_state().conj()
-    p_plus = float(np.sum(np.abs(a_plus) ** 2))
-    if rng.random() < p_plus:
-        return +1, AtomKet(a_plus / np.sqrt(p_plus))
-    a_minus = m @ basis.minus_state().conj()
-    p_minus = float(np.sum(np.abs(a_minus) ** 2))
-    if p_minus <= 0.0:
-        raise RuntimeError("selected a zero-norm measurement branch")
-    return -1, AtomKet(a_minus / np.sqrt(p_minus))
+    table = EMISSIONS[kind]
+    domain = sorted(_INDEX[src] for src in table)
+    v = np.zeros((16, 8), dtype=complex)
+    for src, branches in table.items():
+        for tgt, photon, amp in branches:
+            v[_INDEX[tgt] * 2 + photon, _INDEX[src]] = amp
+    return np.array(domain), v[:, domain]

@@ -1,16 +1,18 @@
-"""Stochastic imperfection channels and their calibration helpers.
+"""Noise parameters and their calibration helpers.
 
-Four independent mechanisms are modeled:
+:class:`NoiseConfig` sets the imperfections that the engine samples
+(:mod:`photonchain.engine`):
 
-* photon loss — a single Bernoulli trial per photon with success
-  probability eta0 * eta_d (losses commute with polarization measurement,
-  so the detection-chain breakdown is reporting metadata only);
-* Raman rotation errors — a coherent angle error theta -> theta + eps,
-  eps ~ N(0, raman_sigma), applied to every Raman pulse;
-* closing-step scattering — with probability closing_scatter_p the
-  closing qubit is replaced by a random state on span{|2,+1>, |2,-1>}
-  with uniformly random population split and relative phase;
-* magnetic-field noise — a fractional Larmor-frequency offset delta
+* ``eta0``, ``eta_d`` — photon loss, one Bernoulli trial per photon with
+  success probability eta0 * eta_d (losses commute with polarization
+  measurement, so the detection-chain breakdown is reporting metadata
+  only);
+* ``raman_sigma`` — a coherent angle error theta -> theta + eps,
+  eps ~ N(0, raman_sigma), on every Raman pulse;
+* ``closing_scatter_p`` — the probability that the closing qubit is
+  replaced by a random state on span{|2,+1>, |2,-1>} with uniformly
+  random population split and relative phase;
+* ``b_sigma``, ``b_model`` — a fractional Larmor-frequency offset delta
   ~ N(0, b_sigma), drawn once per shot (quasi-static, the default) or
   once per photon cycle.
 """
@@ -18,7 +20,7 @@ Four independent mechanisms are modeled:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,25 +69,6 @@ REFERENCE_DETECTION_CHAIN = (
 )
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    """Fractional Larmor-frequency offset for one shot (or cycle)."""
-
-    delta: float
-
-
-def sample_detection(rng, cfg: NoiseConfig) -> bool:
-    """One Bernoulli detection trial with probability eta0 * eta_d."""
-    return bool(rng.random() < cfg.eta)
-
-
-def perturb_rotation(theta: float, rng, cfg: NoiseConfig) -> float:
-    """Coherent angle error: theta + eps with eps ~ N(0, raman_sigma)."""
-    if cfg.raman_sigma == 0.0:
-        return theta
-    return theta + rng.normal(0.0, cfg.raman_sigma)
-
-
 def raman_sigma_for_infidelity(infidelity: float) -> float:
     """Angle-error width giving the requested mean pi-pulse infidelity.
 
@@ -97,53 +80,18 @@ def raman_sigma_for_infidelity(infidelity: float) -> float:
     return 2.0 * math.sqrt(infidelity)
 
 
-def random_span_state(i: int, j: int, u_pop: float, u_phase: float) -> np.ndarray:
-    """Random 8-level ket on span{i, j}: population split u_pop, relative
-    phase 2*pi*u_phase."""
-    amps = np.zeros(8, dtype=complex)
-    amps[i] = math.sqrt(u_pop)
-    amps[j] = math.sqrt(1.0 - u_pop) * np.exp(2j * np.pi * u_phase)
-    return amps
-
-
-def apply_closing_scatter(state, rng, cfg: NoiseConfig):
-    """Decoherence event at the closing transfer.
-
-    With probability ``closing_scatter_p`` the atomic qubit (already
-    transferred to span{|2,+1>, |2,-1>}) is replaced by a random state on
-    that span; the photon is still emitted and detected, so the shot
-    continues.  Returns ``(state, scattered)``.
-    """
-    from .levels import AtomKet, Sublevel
-
-    if rng.random() >= cfg.closing_scatter_p:
-        return state, False
-    i = Sublevel(2, 1).index
-    j = Sublevel(2, -1).index
-    return AtomKet(random_span_state(i, j, rng.random(), rng.random())), True
-
-
-def sample_field(rng, cfg: NoiseConfig) -> FieldSample:
-    """Draw the fractional field offset for a shot (quasi-static mode) or
-    cycle (per-cycle mode)."""
-    if cfg.b_sigma == 0.0:
-        return FieldSample(0.0)
-    return FieldSample(float(rng.normal(0.0, cfg.b_sigma)))
-
-
-def coherence_envelope(t: float | np.ndarray, b_sigma: float,
-                       omega_l: float = OMEGA_L):
+def coherence_envelope(t: float | np.ndarray, b_sigma: float):
     """Upper envelope of the two-photon overlap for an idle qubit.
 
     Quasi-static Gaussian field noise averages cos(2 w_L delta t) to
     exp(-(2 w_L b_sigma t)^2 / 2), so the overlap envelope is
     (1 + exp(-(2 w_L b_sigma t)^2 / 2)) / 2.
     """
-    return 0.5 * (1.0 + np.exp(-0.5 * (2.0 * omega_l * b_sigma * np.asarray(t)) ** 2))
+    return 0.5 * (1.0 + np.exp(-0.5 * (2.0 * OMEGA_L * b_sigma * np.asarray(t)) ** 2))
 
 
-def calibrate_field(target_coherence_time: float, threshold: float = 0.66,
-                    omega_l: float = OMEGA_L) -> float:
+def calibrate_field(target_coherence_time: float,
+                    threshold: float = 0.66) -> float:
     """b_sigma for which the overlap envelope crosses ``threshold`` at the
     given time.  Closed form from inverting the Gaussian envelope."""
     if target_coherence_time <= 0:
@@ -152,4 +100,4 @@ def calibrate_field(target_coherence_time: float, threshold: float = 0.66,
         raise ValueError("threshold must lie in (0.5, 1)")
     # envelope = threshold  <=>  exp(-x^2/2) = 2*threshold - 1
     x = math.sqrt(2.0 * math.log(1.0 / (2.0 * threshold - 1.0)))
-    return x / (2.0 * omega_l * target_coherence_time)
+    return x / (2.0 * OMEGA_L * target_coherence_time)

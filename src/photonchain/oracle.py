@@ -8,6 +8,9 @@ Two exact paths are provided:
 * :func:`product_expectation` computes <prod_k m_k> for per-photon
   observables by folding the protocol steps backwards over 8x8 operator
   space, which is exact at any photon number and O(N).
+
+Both run the op list of :func:`~photonchain.schedule.compile_schedule`,
+the one the trajectory engine runs.
 """
 
 from __future__ import annotations
@@ -16,17 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .levels import (EMIT_CLOSING, EMIT_CYCLING, EMIT_INITIAL, OMEGA_L,
-                     MeasBasis, Sublevel, precession_coefficients,
-                     precession_phases, rotating_frame_phases,
+from .levels import (DOMAIN_TOL, PUMPED, EmissionLevelError, MeasBasis,
                      rotation_matrix)
-from .schedule import (EMIT, PULSE, PUMP, WAIT, ProtocolConfig, PulseSchedule,
-                       build_schedule)
+from .schedule import (EmitOp, PrecessOp, ProtocolConfig, PulseOp,
+                       PulseSchedule, PumpOp, build_schedule,
+                       compile_schedule)
 
 MAX_DENSE_PHOTONS = 12
-
-_ISOMETRY = {"initial": EMIT_INITIAL, "cycling": EMIT_CYCLING,
-             "closing": EMIT_CLOSING}
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -139,55 +138,45 @@ def _as_schedule(cfg) -> PulseSchedule:
     raise TypeError(f"expected ProtocolConfig or PulseSchedule, got {cfg!r}")
 
 
-def dense_run(cfg, delta: float = 0.0, omega_l: float = OMEGA_L,
+def dense_run(cfg, delta: float = 0.0,
               flip_f2_sign: bool = True) -> DenseState:
     """Exact noiseless protocol run (optionally at a fixed field offset).
 
     Emitted photons accumulate as qubit axes; the returned state carries
-    the atom axis first and photon slots in emission order.
+    the atom axis first and photon slots in emission order.  An emission
+    with population outside its source levels means a mis-sequenced
+    schedule and raises :class:`EmissionLevelError`.
     """
     sched = _as_schedule(cfg)
     if sched.n_photons > MAX_DENSE_PHOTONS:
         raise DenseSizeError(
             f"n_photons={sched.n_photons} exceeds the dense cap "
             f"{MAX_DENSE_PHOTONS}")
-    coeff = precession_coefficients(flip_f2_sign)
     amps = np.zeros(8, dtype=complex)
     n_ph = 0
-    for step in sched.steps:
-        if step.duration > 0 and step.kind != PUMP:
-            if step.lab_frame:
-                ph = precession_phases(step.duration, delta, omega_l, coeff)
-            else:
-                ph = rotating_frame_phases(step.duration, delta, omega_l,
-                                           coeff)
-            amps = amps * ph.reshape((8,) + (1,) * n_ph)
-        if step.kind == PUMP:
+    for op in compile_schedule(sched, flip_f2_sign):
+        if isinstance(op, PrecessOp):
+            amps = amps * op.phases(delta).reshape((8,) + (1,) * n_ph)
+        elif isinstance(op, PumpOp):
             amps = np.zeros((8,) + (2,) * n_ph, dtype=complex)
-            idx = (Sublevel(2, 0).index,) + (0,) * n_ph
-            amps[idx] = 1.0
-        elif step.kind == PULSE:
-            for (ia, ib, theta, phase, _draw) in step.pulses:
-                u = rotation_matrix(Sublevel(*_lv(ia)), Sublevel(*_lv(ib)),
-                                    theta, phase)
+            amps[(PUMPED,) + (0,) * n_ph] = 1.0
+        elif isinstance(op, PulseOp):
+            for (ia, ib, theta, phase, _draw) in op.pulses:
+                u = rotation_matrix(ia, ib, theta, phase)
                 amps = np.tensordot(u, amps, axes=(1, 0))
-        elif step.kind == EMIT:
-            v = _ISOMETRY[step.emit_kind].reshape(8, 2, 8)
-            amps = np.tensordot(v, amps, axes=(2, 0))
+        elif isinstance(op, EmitOp):
+            sub = amps[op.domain]
+            pop_out = 1.0 - float(np.sum(np.abs(sub) ** 2))
+            if pop_out > DOMAIN_TOL:
+                raise EmissionLevelError(
+                    f"slot {op.slot}: population {pop_out:.3e} outside the "
+                    "emission levels (mis-sequenced schedule?)")
+            amps = np.tensordot(op.vdom.reshape(8, 2, -1), sub, axes=(2, 0))
             # new photon axis sits at position 1; move it behind the
             # previously emitted slots
             amps = np.moveaxis(amps, 1, 1 + n_ph)
             n_ph += 1
-        # WAIT: precession only
     return DenseState(amps, n_ph)
-
-
-_LEVELS = [(s.F, s.mF) for s in
-           [Sublevel(F, mF) for F in (1, 2) for mF in range(-F, F + 1)]]
-
-
-def _lv(index: int) -> tuple[int, int]:
-    return _LEVELS[index]
 
 
 def apply_frame(state: DenseState, phases) -> DenseState:
@@ -252,9 +241,7 @@ def register_distribution(psi: np.ndarray, bases) -> np.ndarray:
 
 
 def product_expectation(cfg, slot_ops, delta: float = 0.0,
-                        omega_l: float = OMEGA_L,
-                        flip_f2_sign: bool = True,
-                        use_frame: bool = True) -> float:
+                        flip_f2_sign: bool = True) -> float:
     """Exact expectation of a product of single-photon observables.
 
     ``slot_ops`` is one 2x2 Hermitian (or Pauli label) per photon slot.
@@ -264,32 +251,23 @@ def product_expectation(cfg, slot_ops, delta: float = 0.0,
     sched = _as_schedule(cfg)
     if len(slot_ops) != sched.n_photons:
         raise ValueError("one observable per photon slot required")
-    ops = [PAULI[o] if isinstance(o, str) else np.asarray(o, dtype=complex)
-           for o in slot_ops]
-    if use_frame:
-        ops = [_conj_frame(m, phi)
-               for m, phi in zip(ops, sched.frame_phases)]
-    coeff = precession_coefficients(flip_f2_sign)
+    ops = [_conj_frame(PAULI[o] if isinstance(o, str)
+                       else np.asarray(o, dtype=complex), phi)
+           for o, phi in zip(slot_ops, sched.frame_phases)]
     x = np.eye(8, dtype=complex)
-    for step in reversed(sched.steps):
-        if step.kind == PULSE:
-            for (ia, ib, theta, phase, _d) in reversed(step.pulses):
-                u = rotation_matrix(Sublevel(*_lv(ia)), Sublevel(*_lv(ib)),
-                                    theta, phase)
+    for op in reversed(compile_schedule(sched, flip_f2_sign)):
+        if isinstance(op, PulseOp):
+            for (ia, ib, theta, phase, _d) in reversed(op.pulses):
+                u = rotation_matrix(ia, ib, theta, phase)
                 x = u.conj().T @ x @ u
-        elif step.kind == EMIT:
-            v = _ISOMETRY[step.emit_kind]
-            big = np.kron(x, ops[step.slot])
-            x = v.conj().T @ big @ v
-        if step.duration > 0 and step.kind != PUMP:
-            if step.lab_frame:
-                p = precession_phases(step.duration, delta, omega_l, coeff)
-            else:
-                p = rotating_frame_phases(step.duration, delta, omega_l,
-                                          coeff)
+        elif isinstance(op, EmitOp):
+            big = np.kron(x, ops[op.slot])
+            x = np.zeros((8, 8), dtype=complex)
+            x[np.ix_(op.domain, op.domain)] = op.vdom.conj().T @ big @ op.vdom
+        elif isinstance(op, PrecessOp):
+            p = op.phases(delta)
             x = np.conj(p)[:, None] * x * p[None, :]
-    i0 = Sublevel(2, 0).index
-    return float(np.real(x[i0, i0]))
+    return float(np.real(x[PUMPED, PUMPED]))
 
 
 def _conj_frame(m: np.ndarray, phi: float) -> np.ndarray:

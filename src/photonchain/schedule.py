@@ -1,4 +1,4 @@
-"""Protocol recipes and their compilation into timed pulse schedules.
+"""Protocol recipes, their timed pulse schedules and the compiled op list.
 
 A schedule is an ordered list of steps.  Each step has a duration and an
 action applied at the *end* of its time window: the atom precesses for the
@@ -32,7 +32,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rng as crng
-from .levels import Sublevel
+from .levels import (OMEGA_L, InvalidPulseError, Sublevel, emission_map,
+                     precession_coefficients)
 
 GHZ = "ghz"
 CLUSTER = "cluster"
@@ -135,7 +136,6 @@ PUMP = "pump"
 WAIT = "wait"
 PULSE = "pulse"
 EMIT = "emit"
-SCATTER = "scatter"
 
 
 @dataclass(frozen=True)
@@ -306,3 +306,80 @@ def run_period(schedule: PulseSchedule) -> float:
     least the repetition period."""
     return max(schedule.total_duration + schedule.timings.overhead,
                schedule.repetition_period)
+
+
+# ---------------------------------------------------------------------------
+# compiled schedules: the one op list that the engine and both oracles run
+
+
+@dataclass(frozen=True, eq=False)
+class PrecessOp:
+    """Diagonal Larmor evolution over one step window."""
+
+    rate: np.ndarray   # s_F mF * OMEGA_L * duration, per sublevel
+    lab_frame: bool    # uncompensated delay: full Larmor phase
+    cycle: int         # photon cycle, selects the per-cycle field sample
+
+    def phases(self, delta):
+        """Phase factors exp(-i rate s), with s = 1 + delta in the lab
+        frame and s = delta in the co-rotating one; an array of per-shot
+        offsets ``delta`` gives one row of factors per shot."""
+        scale = 1.0 + delta if self.lab_frame else delta
+        return np.exp(-1j * np.multiply.outer(scale, self.rate))
+
+
+@dataclass(frozen=True)
+class PumpOp:
+    """Reset the atom to the pumped level."""
+
+
+@dataclass(frozen=True)
+class PulseOp:
+    """Two-level Raman rotations fired in order."""
+
+    pulses: tuple      # ((ia, ib, theta, phase, draw_id), ...)
+
+
+@dataclass(frozen=True)
+class ScatterOp:
+    """The closing transfer's scatter channel acts here."""
+
+
+@dataclass(frozen=True, eq=False)
+class EmitOp:
+    """Photon emission into ``slot`` from the levels in ``domain``."""
+
+    slot: int
+    domain: np.ndarray  # source sublevel indices
+    vdom: np.ndarray    # (16, len(domain)) map into atom * 2 + photon
+
+
+def compile_schedule(sched: PulseSchedule,
+                     flip_f2_sign: bool = True) -> tuple:
+    """Flatten a schedule into the ops that every simulator executes.
+
+    Each step becomes its precession (when it has a duration, pumping
+    aside) followed by its action, which is the precess-then-fire order
+    described in the module docstring.
+    """
+    coeff = precession_coefficients(flip_f2_sign)
+    ops = []
+    for step in sched.steps:
+        if step.duration < 0:
+            raise ScheduleError(f"negative duration in a {step.kind} step")
+        if step.duration > 0 and step.kind != PUMP:
+            ops.append(PrecessOp(coeff * (OMEGA_L * step.duration),
+                                 step.lab_frame, step.cycle))
+        if step.kind == PUMP:
+            ops.append(PumpOp())
+        elif step.kind == PULSE:
+            for ia, ib, *_ in step.pulses:
+                if ia == ib:
+                    raise InvalidPulseError(
+                        f"pulse levels coincide: index {ia}")
+            ops.append(PulseOp(step.pulses))
+            if step.scatter_point:
+                ops.append(ScatterOp())
+        elif step.kind == EMIT:
+            ops.append(EmitOp(step.slot, *emission_map(step.emit_kind)))
+    return tuple(ops)

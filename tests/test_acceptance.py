@@ -281,6 +281,10 @@ def test_criterion_5_witness_soundness(capsys):
 GHZ_NS = (4, 6, 8, 10, 12)
 GHZ_EVENTS = {4: 2500, 6: 2500, 8: 2500, 10: 2500, 12: 2500}
 
+# records do not depend on the thread count (criterion 9), so the long
+# decay runs of criteria 6-7 split their chunks over two worker threads
+DECAY_THREADS = 2
+
 
 @pytest.fixture(scope="module")
 def ghz_decay():
@@ -289,10 +293,11 @@ def ghz_decay():
         cfg = ProtocolConfig("ghz", n)
         shots = int(GHZ_EVENTS[n] / ETA ** n) + 1
         zb = run_batch(cfg, CAL, [MeasBasis.z()] * n, shots, seed=600 + n,
-                       abort_on_loss=True)
+                       threads=DECAY_THREADS, abort_on_loss=True)
         p = populations(zb, n)
         del zb  # tens of millions of shots at N = 12; free before parity
-        fit = parity_visibility_run(cfg, CAL, shots, seed=700 + n)
+        fit = parity_visibility_run(cfg, CAL, shots, seed=700 + n,
+                                    threads=DECAY_THREADS)
         fids.append(ghz_fidelity(p, fit.amplitude))
     return decay_fit(GHZ_NS, fids), fids
 
@@ -316,11 +321,11 @@ def test_criterion_7_cluster_vs_ghz(capsys, ghz_decay):
         odd = run_batch(cfg, CAL,
                         [MeasBasis.x() if k % 2 == 0 else MeasBasis.z()
                          for k in range(n)], shots, seed=800 + n,
-                        abort_on_loss=True)
+                        threads=DECAY_THREADS, abort_on_loss=True)
         even = run_batch(cfg, CAL,
                          [MeasBasis.z() if k % 2 == 0 else MeasBasis.x()
                           for k in range(n)], shots, seed=850 + n,
-                         abort_on_loss=True)
+                         threads=DECAY_THREADS, abort_on_loss=True)
         bounds.append(cluster_witness(odd, even, n).bound)
     cl_fit = decay_fit(ns, bounds)
     ratio = cl_fit.slope.value / ghz_fit.slope.value

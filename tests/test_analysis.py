@@ -49,12 +49,6 @@ def test_populations_noiseless():
     assert p.n_events == 4000
 
 
-def test_populations_accepts_record_list():
-    batch = ghz_batch(3, [MeasBasis.z()] * 3, shots=200)
-    from_list = populations(batch.to_records(), 3)
-    assert from_list == populations(batch, 3)
-
-
 def test_populations_validates_bases():
     batch = ghz_batch(3, [MeasBasis.x()] * 3, shots=100)
     with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
 """End-to-end CLI: simulate -> analyze pipelines and exit codes."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
-from photonchain.cli import main
+from photonchain.cli import main, operating_noise
 
 
 def run(argv):
@@ -91,3 +92,64 @@ def test_outdir_env_var(tmp_path, monkeypatch):
     assert run(["simulate", "--kind", "ghz", "--n", "2", "--shots", "100",
                 "--seed", "0", "--noiseless", "--out", "r.csv"]) == 0
     assert (tmp_path / "envout" / "r.csv").exists()
+
+
+def test_malformed_records_cell_exit_code(tmp_path, capsys):
+    out = str(tmp_path)
+    assert run(["simulate", "--kind", "ghz", "--n", "2", "--shots", "10",
+                "--seed", "0", "--noiseless", "--outdir", out,
+                "--out", "r.csv"]) == 0
+    path = tmp_path / "r.csv"
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3][:-2] + "+9"     # last outcome cell of file line 4
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["analyze", "--records", str(path), "--outdir", out]) == 2
+    assert "r.csv:4: malformed cell" in capsys.readouterr().err
+
+
+def test_seed_out_of_range_exit_code(tmp_path, capsys):
+    assert run(["simulate", "--kind", "ghz", "--n", "2", "--shots", "10",
+                "--seed", "-1", "--outdir", str(tmp_path)]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_no_events_exit_code(tmp_path, capsys):
+    # at operating noise 64 shots per setting leave an alternating
+    # setting of the 6-photon cluster witness without a full detection
+    out = str(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "protocol": {"kind": "cluster", "n_photons": 6},
+        "noise": asdict(operating_noise()),
+        "execution": {"shots": 64, "seed": 208}}))
+    for preset in ("alternating-odd", "alternating-even"):
+        assert run(["simulate", "--config", str(cfg),
+                    "--measurement", preset, "--outdir", out,
+                    "--out", f"{preset}.csv"]) == 0
+    capsys.readouterr()
+    assert run(["analyze", "--records", f"{out}/alternating-odd.csv",
+                f"{out}/alternating-even.csv", "--outdir", out]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_degenerate_fit_exit_code(tmp_path):
+    counts = tmp_path / "counts.csv"
+    counts.write_text("n,counts,rate_per_s\n1,40,1.0\n2,3,0.1\n3,0,0.0\n")
+    with pytest.warns(UserWarning, match="zero-count"):
+        code = run(["analyze", "--counts", str(counts),
+                    "--outdir", str(tmp_path)])
+    assert code == 4
+
+
+def test_integrity_error_exit_code(tmp_path, monkeypatch):
+    from photonchain import cli
+    from photonchain.engine import NumericalIntegrityError
+
+    def drifting(*args, **kwargs):
+        raise NumericalIntegrityError("state norm drifted to 1.1")
+
+    monkeypatch.setattr(cli, "run_batch", drifting)
+    assert run(["simulate", "--kind", "ghz", "--n", "2", "--shots", "10",
+                "--outdir", str(tmp_path)]) == 4

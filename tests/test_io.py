@@ -1,6 +1,7 @@
 """Config parsing, records round-trips and deterministic summaries."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,6 +120,7 @@ def test_records_roundtrip(tmp_path):
     write_records(path, batches, "cafe0123cafe0123", seed=5)
     header, back = read_records(path, expect_hash="cafe0123cafe0123")
     assert header["n"] == 3 and header["seed"] == 5
+    assert header["period"] == batches[0].period
     assert len(back) == 2
     for orig, rt in zip(batches, back):
         assert rt.bases == orig.bases
@@ -127,6 +129,14 @@ def test_records_roundtrip(tmp_path):
         assert np.array_equal(rt.attempts, orig.attempts)
         assert np.array_equal(rt.deltas, orig.deltas)   # repr round-trip
         assert np.array_equal(rt.run_ids, orig.run_ids)
+        assert rt.period == orig.period
+
+
+def test_records_mixed_periods_rejected(tmp_path):
+    batch = sample_batches()[0]
+    with pytest.raises(ValueError, match="period"):
+        write_records(tmp_path / "r.csv",
+                      [batch, replace(batch, period=2 * batch.period)], "h", 1)
 
 
 def test_records_hash_guard(tmp_path):
@@ -144,6 +154,26 @@ def test_records_format_guards(tmp_path):
         read_records(bad)
     with pytest.raises(ValueError):
         write_records(tmp_path / "y.csv", [], "h", 0)
+
+
+@pytest.mark.parametrize("col,cell", [(3, "yes"), (5, "+2"), (0, "x")])
+def test_malformed_cell_names_its_line(tmp_path, col, cell):
+    path = tmp_path / "records.csv"
+    write_records(path, sample_batches()[:1], "h", seed=0)
+    lines = path.read_text().splitlines()
+    row = lines[4].split(",")      # file line 5: the third shot
+    row[col] = cell
+    lines[4] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(RecordsFormatError, match=":5: malformed cell"):
+        read_records(path)
+
+
+def test_seed_range():
+    ExecutionPlan(seed=2 ** 63 - 1)
+    for seed in (-1, 2 ** 63):
+        with pytest.raises(ConfigError, match="seed"):
+            ExecutionPlan(seed=seed)
 
 
 def test_summary_deterministic(tmp_path):

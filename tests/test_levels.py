@@ -1,43 +1,55 @@
-"""Unit tests for the 8-level primitives: sublevels, pulses, emission
-maps, precession and photon measurement."""
+"""Unit tests for the 8-level primitives: sublevels, pulses, the emission
+table, the compiled precession rates and the photon measurement."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from photonchain import levels
+from photonchain.engine import run_batch
 from photonchain.levels import (
-    CLOSING_DOMAIN,
-    CYCLING_DOMAIN,
-    EMIT_CLOSING,
-    EMIT_CYCLING,
-    EMIT_INITIAL,
-    INITIAL_DOMAIN,
     OMEGA_L,
-    AtomKet,
     EmissionLevelError,
     InvalidPulseError,
-    JointKet,
     MeasBasis,
     Sublevel,
-    emit_closing,
-    emit_cycling,
-    emit_initial,
-    larmor_precess,
-    measure_photon,
+    emission_map,
     precession_coefficients,
-    precession_phases,
-    raman_rotation,
-    rotating_frame_phases,
     rotation_matrix,
+)
+from photonchain.noise import NoiseConfig
+from photonchain.oracle import dense_run, product_expectation
+from photonchain.schedule import (
+    PULSE,
+    PrecessOp,
+    ProtocolConfig,
+    ScheduleError,
+    Step,
+    build_schedule,
+    compile_schedule,
 )
 
 S2 = 1.0 / np.sqrt(2.0)
+EMIT_KINDS = ("initial", "cycling", "closing")
+
+
+def idx(F, mF):
+    return Sublevel(F, mF).index
 
 
 def ket(F, mF):
-    return AtomKet.basis(Sublevel(F, mF))
+    amps = np.zeros(8, dtype=complex)
+    amps[idx(F, mF)] = 1.0
+    return amps
+
+
+def emit(kind, amps):
+    """(atom, photon) amplitudes after an emission from an 8-level state."""
+    domain, vdom = emission_map(kind)
+    return (vdom @ amps[domain]).reshape(8, 2)
 
 
 def test_sublevel_ordering():
@@ -69,7 +81,7 @@ def test_precession_coefficients():
 @given(theta=st.floats(-2 * np.pi, 2 * np.pi),
        phase=st.floats(-np.pi, np.pi))
 def test_rotation_matrix_unitary(theta, phase):
-    u = rotation_matrix(Sublevel(1, 1), Sublevel(2, 0), theta, phase)
+    u = rotation_matrix(idx(1, 1), idx(2, 0), theta, phase)
     assert np.allclose(u.conj().T @ u, np.eye(8), atol=1e-12)
 
 
@@ -77,133 +89,126 @@ def test_rotation_matrix_unitary(theta, phase):
        phase=st.floats(-np.pi, np.pi))
 def test_rotation_composition(t1, t2, phase):
     # same axis: angles add
-    a, b = Sublevel(1, -1), Sublevel(2, 0)
+    a, b = idx(1, -1), idx(2, 0)
     u1 = rotation_matrix(a, b, t1, phase)
     u2 = rotation_matrix(a, b, t2, phase)
     u12 = rotation_matrix(a, b, t1 + t2, phase)
     assert np.allclose(u2 @ u1, u12, atol=1e-12)
 
 
-def test_raman_rotation_matches_matrix():
-    state = AtomKet(np.ones(8, dtype=complex) / np.sqrt(8))
-    a, b = Sublevel(1, 1), Sublevel(2, 2)
-    rotated = raman_rotation(state, a, b, 0.7, 0.3)
-    u = rotation_matrix(a, b, 0.7, 0.3)
-    assert np.allclose(rotated.amps, u @ state.amps)
-
-
 def test_pi_pulse_transfers_population():
-    out = raman_rotation(ket(1, 1), Sublevel(1, 1), Sublevel(2, 0), np.pi)
-    assert out.population(Sublevel(2, 0)) == pytest.approx(1.0)
+    out = rotation_matrix(idx(1, 1), idx(2, 0), np.pi) @ ket(1, 1)
+    assert abs(out[idx(2, 0)]) ** 2 == pytest.approx(1.0)
 
 
 def test_identical_pulse_levels_rejected():
+    sched = build_schedule(ProtocolConfig("cluster", 3))
+    i = idx(1, 0)
+    bad = Step(PULSE, 1e-6, 1, pulses=((i, i, np.pi, 0.0, 40),))
     with pytest.raises(InvalidPulseError):
-        raman_rotation(ket(1, 0), Sublevel(1, 0), Sublevel(1, 0), np.pi)
+        compile_schedule(replace(sched, steps=sched.steps + (bad,)))
 
 
-@pytest.mark.parametrize("iso,dom", [(EMIT_INITIAL, INITIAL_DOMAIN),
-                                     (EMIT_CYCLING, CYCLING_DOMAIN),
-                                     (EMIT_CLOSING, CLOSING_DOMAIN)])
+@pytest.mark.parametrize("iso,dom",
+                         [emission_map(k)[::-1] for k in EMIT_KINDS])
 def test_emission_isometries(iso, dom):
-    assert iso.shape == (16, 8)
-    # exact isometry on the physical domain columns ...
-    vdom = iso[:, list(dom)]
-    assert np.allclose(vdom.conj().T @ vdom, np.eye(len(dom)), atol=1e-14)
-    # ... and every completion column stays normalized
-    assert np.allclose(np.linalg.norm(iso, axis=0), 1.0, atol=1e-14)
+    # an exact isometry from the domain levels into the joint space
+    assert iso.shape == (16, len(dom))
+    assert np.allclose(iso.conj().T @ iso, np.eye(len(dom)), atol=1e-14)
 
 
 def test_emit_initial_amplitudes():
     # |2,0> -> (|1,1>|R> - |1,-1>|L>)/sqrt(2)
-    joint = emit_initial(ket(2, 0)).matrix()
-    assert joint[Sublevel(1, 1).index, 0] == pytest.approx(S2)
-    assert joint[Sublevel(1, -1).index, 1] == pytest.approx(-S2)
+    joint = emit("initial", ket(2, 0))
+    assert joint[idx(1, 1), 0] == pytest.approx(S2)
+    assert joint[idx(1, -1), 1] == pytest.approx(-S2)
     assert np.count_nonzero(joint) == 2
 
 
 def test_emit_cycling_amplitudes():
-    j = emit_cycling(ket(2, 2)).matrix()
-    assert j[Sublevel(1, 1).index, 0] == pytest.approx(1.0)
-    j = emit_cycling(ket(2, -2)).matrix()
-    assert j[Sublevel(1, -1).index, 1] == pytest.approx(1.0)
+    j = emit("cycling", ket(2, 2))
+    assert j[idx(1, 1), 0] == pytest.approx(1.0)
+    j = emit("cycling", ket(2, -2))
+    assert j[idx(1, -1), 1] == pytest.approx(1.0)
 
 
 def test_emit_closing_amplitudes():
-    j = emit_closing(ket(2, -1)).matrix()
-    assert j[Sublevel(1, 0).index, 0] == pytest.approx(1.0)
-    j = emit_closing(ket(2, 1)).matrix()
-    assert j[Sublevel(1, 0).index, 1] == pytest.approx(-1.0)
+    j = emit("closing", ket(2, -1))
+    assert j[idx(1, 0), 0] == pytest.approx(1.0)
+    j = emit("closing", ket(2, 1))
+    assert j[idx(1, 0), 1] == pytest.approx(-1.0)
 
 
 def test_emission_domains():
-    assert INITIAL_DOMAIN == (Sublevel(2, 0).index,)
-    assert set(CYCLING_DOMAIN) == {Sublevel(2, -2).index,
-                                   Sublevel(2, 2).index}
-    assert set(CLOSING_DOMAIN) == {Sublevel(2, -1).index,
-                                   Sublevel(2, 1).index}
+    assert list(emission_map("initial")[0]) == [idx(2, 0)]
+    assert set(emission_map("cycling")[0]) == {idx(2, -2), idx(2, 2)}
+    assert set(emission_map("closing")[0]) == {idx(2, -1), idx(2, 1)}
 
 
 def test_off_domain_emission_rejected():
-    with pytest.raises(EmissionLevelError):
-        emit_initial(ket(1, 0))
-    with pytest.raises(EmissionLevelError):
-        emit_cycling(ket(2, 0))
-    with pytest.raises(EmissionLevelError):
-        emit_closing(ket(2, 2))
+    # without a transfer step an emission reads the wrong levels; the
+    # noiseless oracle refuses instead of dropping that population
+    sched = build_schedule(ProtocolConfig("ghz", 3))
+    transfers = [i for i, s in enumerate(sched.steps) if s.kind == PULSE]
+    assert len(transfers) == 2        # cycling and closing transfer
+    for i in transfers:
+        steps = sched.steps[:i] + sched.steps[i + 1:]
+        with pytest.raises(EmissionLevelError):
+            dense_run(replace(sched, steps=steps))
+    dense_run(sched)
 
 
 @given(st.lists(st.floats(-1, 1), min_size=16, max_size=16),
-       st.sampled_from(["initial", "cycling", "closing"]))
+       st.sampled_from(EMIT_KINDS))
 def test_emission_preserves_norm_on_domain(re, which):
-    iso, dom = {
-        "initial": (EMIT_INITIAL, INITIAL_DOMAIN),
-        "cycling": (EMIT_CYCLING, CYCLING_DOMAIN),
-        "closing": (EMIT_CLOSING, CLOSING_DOMAIN),
-    }[which]
+    dom = emission_map(which)[0]
     amps = np.zeros(8, dtype=complex)
     for j, i in enumerate(dom):
         amps[i] = re[2 * j] + 1j * re[2 * j + 1]
     nrm = np.linalg.norm(amps)
     if nrm < 1e-6:
         return
-    joint = JointKet(iso @ (amps / nrm))
-    assert np.linalg.norm(joint.amps) == pytest.approx(1.0)
+    joint = emit(which, amps / nrm)
+    assert np.linalg.norm(joint) == pytest.approx(1.0)
+
+
+def lab_wait_op(t):
+    """The compiled precession of a coherence probe's idle delay ``t``."""
+    sched = build_schedule(ProtocolConfig("coherence", 2, probe_delay=t))
+    (op,) = [o for o in compile_schedule(sched)
+             if isinstance(o, PrecessOp) and o.lab_frame]
+    return op
 
 
 def test_precession_phase_values():
     # |1,1> advances at +omega_L, |2,2> at -2 omega_L
     t = 1.25e-6
-    ph = precession_phases(t, delta=0.0)
-    assert ph[Sublevel(1, 1).index] == pytest.approx(np.exp(-1j * OMEGA_L * t))
-    assert ph[Sublevel(2, 2).index] == pytest.approx(
-        np.exp(+2j * OMEGA_L * t))
-    assert ph[Sublevel(1, 0).index] == pytest.approx(1.0)
+    op = lab_wait_op(t)
+    assert op.rate[idx(1, 1)] == pytest.approx(OMEGA_L * t)
+    assert op.rate[idx(2, 2)] == pytest.approx(-2.0 * OMEGA_L * t)
+    ph = op.phases(0.0)
+    assert ph[idx(1, 1)] == pytest.approx(np.exp(-1j * OMEGA_L * t))
+    assert ph[idx(2, 2)] == pytest.approx(np.exp(+2j * OMEGA_L * t))
+    assert ph[idx(1, 0)] == pytest.approx(1.0)
 
 
 def test_rotating_frame_phases_delta_only():
     t, d = 37e-6, 3e-4
-    assert np.allclose(rotating_frame_phases(t, 0.0), np.ones(8))
-    full = precession_phases(t, d)
-    nominal = precession_phases(t, 0.0)
-    assert np.allclose(rotating_frame_phases(t, d), full / nominal)
-
-
-def test_larmor_precess_joint_leaves_photon():
-    joint = emit_initial(ket(2, 0))
-    out = larmor_precess(joint, 2.0e-6, delta=0.01)
-    m_in, m_out = joint.matrix(), out.matrix()
-    # each atom row picks up only a row-wise phase
-    ratio = m_out[Sublevel(1, 1).index, 0] / m_in[Sublevel(1, 1).index, 0]
-    assert abs(abs(ratio) - 1.0) < 1e-12
-    assert np.linalg.norm(out.amps) == pytest.approx(1.0)
+    lab = lab_wait_op(t)
+    rot = replace(lab, lab_frame=False)
+    assert np.allclose(rot.phases(0.0), np.ones(8))
+    assert np.allclose(rot.phases(d), lab.phases(d) / lab.phases(0.0))
+    # per-shot offsets give one row of phases per shot
+    rows = rot.phases(np.array([d, 0.0]))
+    assert np.array_equal(rows[0], rot.phases(d))
+    assert np.array_equal(rows[1], rot.phases(0.0))
 
 
 def test_negative_duration_rejected():
-    with pytest.raises(ValueError):
-        precession_phases(-1e-6)
-    with pytest.raises(ValueError):
-        rotating_frame_phases(-1e-6)
+    sched = build_schedule(ProtocolConfig("ghz", 2))
+    bad = replace(sched.steps[-1], duration=-1e-6)
+    with pytest.raises(ScheduleError):
+        compile_schedule(replace(sched, steps=sched.steps[:-1] + (bad,)))
 
 
 def test_basis_states():
@@ -227,26 +232,22 @@ def test_basis_code_roundtrip(phi):
 
 
 def test_measure_photon_born_statistics():
-    # initial emission measured in X: deterministic correlation with the
-    # atom phase, 50/50 outcomes
-    rng = np.random.default_rng(5)
-    joint = emit_initial(ket(2, 0))
-    outcomes = [measure_photon(joint, MeasBasis.z(), rng)[0]
-                for _ in range(4000)]
-    frac = np.mean([o == 1 for o in outcomes])
-    assert abs(frac - 0.5) < 4 * np.sqrt(0.25 / 4000)
+    # a theta rotation before the closing photon makes the two Z outcomes
+    # agree with probability (1 + <Z Z>)/2, strictly between 0 and 1
+    cfg = ProtocolConfig("custom", 2, thetas=(1.1,))
+    want = (1.0 + product_expectation(cfg, ["Z", "Z"])) / 2.0
+    assert 0.1 < want < 0.9
+    shots = 20000
+    batch = run_batch(cfg, NoiseConfig(), [MeasBasis.z()] * 2, shots, seed=5)
+    same = np.mean(batch.outcomes[:, 0] == batch.outcomes[:, 1])
+    assert abs(same - want) < 4 * np.sqrt(want * (1 - want) / shots)
 
 
 def test_measure_photon_collapse():
-    rng = np.random.default_rng(0)
-    joint = emit_initial(ket(2, 0))
-    outcome, atom = measure_photon(joint, MeasBasis.z(), rng)
-    target = Sublevel(1, 1) if outcome == 1 else Sublevel(1, -1)
-    assert atom.population(target) == pytest.approx(1.0)
-
-
-def test_unnormalized_kets_rejected():
-    with pytest.raises(ValueError):
-        AtomKet(np.ones(8))
-    with pytest.raises(ValueError):
-        JointKet(np.zeros(16))
+    # measuring the first photon collapses the atom, so the second photon
+    # of a GHZ pair repeats its outcome in Z and in X
+    for basis in (MeasBasis.z(), MeasBasis.x()):
+        batch = run_batch(ProtocolConfig("ghz", 2), NoiseConfig(),
+                          [basis] * 2, 2000, seed=1)
+        assert np.all(batch.outcomes[:, 0] == batch.outcomes[:, 1])
+        assert 0 < np.mean(batch.outcomes[:, 0] == 1) < 1

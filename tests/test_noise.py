@@ -1,20 +1,21 @@
-"""Noise model validation and calibration helpers."""
+"""Noise model validation, calibration helpers, and the statistics of
+each noise channel as the engine samples it."""
 
 import numpy as np
 import pytest
 
+from photonchain.engine import run_batch
+from photonchain.levels import MeasBasis
 from photonchain.noise import (
     REFERENCE_DETECTION_CHAIN,
     NoiseConfig,
-    apply_closing_scatter,
     calibrate_field,
     coherence_envelope,
-    perturb_rotation,
     raman_sigma_for_infidelity,
-    random_span_state,
-    sample_detection,
-    sample_field,
 )
+from photonchain.schedule import ProtocolConfig
+
+GHZ2 = ProtocolConfig("ghz", 2)
 
 
 def test_defaults_are_noiseless():
@@ -81,46 +82,58 @@ def test_envelope_limits():
 
 
 def test_sample_field_statistics():
-    rng = np.random.default_rng(2)
-    cfg = NoiseConfig(b_sigma=1e-3)
-    deltas = np.array([sample_field(rng, cfg).delta for _ in range(20000)])
-    assert abs(deltas.mean()) < 3e-5
-    assert deltas.std() == pytest.approx(1e-3, rel=0.05)
-    assert sample_field(rng, NoiseConfig()).delta == 0.0
+    # quasi-static field offsets: one N(0, b_sigma) draw per shot
+    batch = run_batch(GHZ2, NoiseConfig(b_sigma=1e-3), [MeasBasis.z()] * 2,
+                      20000, seed=2)
+    assert abs(batch.deltas.mean()) < 3e-5
+    assert batch.deltas.std() == pytest.approx(1e-3, rel=0.05)
+    quiet = run_batch(GHZ2, NoiseConfig(), [MeasBasis.z()] * 2, 100, seed=2)
+    assert not quiet.deltas.any()
 
 
 def test_perturb_rotation():
-    rng = np.random.default_rng(3)
-    assert perturb_rotation(np.pi, rng, NoiseConfig()) == np.pi
-    cfg = NoiseConfig(raman_sigma=0.2)
-    vals = np.array([perturb_rotation(np.pi, rng, cfg) for _ in range(20000)])
-    assert vals.mean() == pytest.approx(np.pi, abs=0.01)
-    assert vals.std() == pytest.approx(0.2, rel=0.05)
+    # after slot 0 one pi pulse moves the qubit into the closing levels;
+    # an angle error eps ~ N(0, sigma) leaves cos^2(eps/2) there, so the
+    # closing photon is emitted with mean probability (1 + e^{-sigma^2/2})/2
+    sigma, shots = 0.5, 40000
+    batch = run_batch(GHZ2, NoiseConfig(raman_sigma=sigma),
+                      [MeasBasis.z()] * 2, shots, seed=3)
+    want = (1.0 + np.exp(-sigma ** 2 / 2.0)) / 2.0
+    got = batch.detected[:, 1].mean()
+    assert abs(got - want) < 4 * np.sqrt(want * (1 - want) / shots)
+    exact = run_batch(GHZ2, NoiseConfig(), [MeasBasis.z()] * 2, 1000, seed=3)
+    assert exact.detected.all()
 
 
 def test_random_span_state():
-    amps = random_span_state(2, 5, 0.3, 0.25)
-    assert np.linalg.norm(amps) == pytest.approx(1.0)
-    assert abs(amps[2]) ** 2 == pytest.approx(0.3)
-    assert np.angle(amps[5]) == pytest.approx(np.pi / 2)
+    # a scattered closing qubit is a uniformly random state on
+    # span{|2,+1>, |2,-1>}: the closing photon reads R with probability
+    # 1/2 whatever slot 0 read, and its X outcome averages to 0
+    noise = NoiseConfig(closing_scatter_p=1.0)
+    shots = 40000
+    tol = 4.0 / np.sqrt(shots)
+    z = run_batch(GHZ2, noise, [MeasBasis.z()] * 2, shots, seed=4)
+    z0, z1 = z.outcomes[:, 0].astype(int), z.outcomes[:, 1].astype(int)
+    assert abs(z1.mean()) < tol
+    assert abs(np.mean(z0 * z1)) < tol
+    x = run_batch(GHZ2, noise, [MeasBasis.z(), MeasBasis.x()], shots, seed=5)
+    assert abs(x.outcomes[:, 1].astype(int).mean()) < tol
 
 
 def test_closing_scatter():
-    from photonchain.levels import AtomKet, Sublevel
-
-    rng = np.random.default_rng(4)
-    state = AtomKet.basis(Sublevel(2, 1))
-    out, hit = apply_closing_scatter(state, rng, NoiseConfig())
-    assert not hit and out is state
-    cfg = NoiseConfig(closing_scatter_p=1.0)
-    out, hit = apply_closing_scatter(state, rng, cfg)
-    assert hit
-    pop = out.population(Sublevel(2, 1)) + out.population(Sublevel(2, -1))
-    assert pop == pytest.approx(1.0)
+    # the photon is still emitted and detected, but a scattered shot
+    # loses the pair's X correlation: <X X> = 1 - p
+    p, shots = 0.3, 40000
+    batch = run_batch(GHZ2, NoiseConfig(closing_scatter_p=p),
+                      [MeasBasis.x()] * 2, shots, seed=6)
+    assert batch.detected.all()
+    xx = np.mean(batch.outcomes[:, 0].astype(int) * batch.outcomes[:, 1])
+    assert abs(xx - (1 - p)) < 4 * np.sqrt((1 - (1 - p) ** 2) / shots)
 
 
 def test_sample_detection_rate():
-    rng = np.random.default_rng(5)
+    # after the first photon each photon is detected with eta0 * eta_d
     cfg = NoiseConfig(eta0=0.6, eta_d=0.7)
-    hits = np.mean([sample_detection(rng, cfg) for _ in range(20000)])
-    assert hits == pytest.approx(0.42, abs=0.012)
+    batch = run_batch(GHZ2, cfg, [MeasBasis.z()] * 2, 20000, seed=5)
+    started = batch.detected[:, 0]
+    assert batch.detected[started, 1].mean() == pytest.approx(0.42, abs=0.012)
