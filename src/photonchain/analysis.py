@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .levels import MeasBasis
-
 
 class InsufficientDataError(RuntimeError):
     """No post-selected events available for the requested estimator."""
@@ -100,30 +98,18 @@ def _binomial_se(p: float, n: int) -> float:
     return float(np.sqrt(max(p * (1.0 - p), 0.0) / n))
 
 
-def _bootstrap_se(indicator: np.ndarray, resamples: int, seed: int) -> float:
-    rs = np.random.default_rng(seed)
-    n = len(indicator)
-    vals = indicator.astype(float)
-    means = np.array([vals[rs.integers(0, n, n)].mean()
-                      for _ in range(resamples)])
-    return float(means.std(ddof=1))
-
-
-def _mean_estimate(indicator: np.ndarray, bootstrap: int = 0,
-                   seed: int = 0) -> Estimate:
+def _mean_estimate(indicator: np.ndarray) -> Estimate:
     n = len(indicator)
     if n == 0:
         raise InsufficientDataError("zero post-selected events")
     p = float(indicator.mean())
-    se = (_bootstrap_se(indicator, bootstrap, seed) if bootstrap
-          else _binomial_se(p, n))
-    return Estimate(p, se, n)
+    return Estimate(p, _binomial_se(p, n), n)
 
 
 # ---------------------------------------------------------------------------
 # GHZ-style estimators
 
-def populations(records, n_photons: int, bootstrap: int = 0) -> Estimate:
+def populations(records, n_photons: int) -> Estimate:
     """P_N: fraction of full-detection Z^N events with all outcomes equal."""
     bases, det, out = _columns(records)
     if len(bases) != n_photons:
@@ -135,10 +121,10 @@ def populations(records, n_photons: int, bootstrap: int = 0) -> Estimate:
     if o.shape[0] == 0:
         raise InsufficientDataError("no full-detection events")
     same = np.all(o == o[:, :1], axis=1)
-    return _mean_estimate(same, bootstrap)
+    return _mean_estimate(same)
 
 
-def parity(records, phi: float, bootstrap: int = 0) -> Estimate:
+def parity(records, phi: float) -> Estimate:
     """Mean product of the N equator-basis outcomes at angle phi."""
     bases, det, out = _columns(records)
     for b in bases:
@@ -149,22 +135,13 @@ def parity(records, phi: float, bootstrap: int = 0) -> Estimate:
     o = out[full]
     if o.shape[0] == 0:
         raise InsufficientDataError("no full-detection events")
-    prod = np.prod(o.astype(np.int64), axis=1)
-    n = len(prod)
-    m = float(prod.mean())
-    if bootstrap:
-        se = _bootstrap_se((prod > 0), bootstrap, 0) * 2.0
-    else:
-        se = float(np.sqrt(max(1.0 - m * m, 0.0) / n))
-    return Estimate(m, se, n)
+    return _signed(np.prod(o.astype(np.int64), axis=1))
 
 
-def parity_curve(groups, bootstrap: int = 0) -> ParityCurve:
+def parity_curve(groups) -> ParityCurve:
     """Assemble a parity curve from (phi, records) pairs."""
-    pts = []
-    for phi, records in groups:
-        pts.append((float(phi), parity(records, phi, bootstrap)))
-    return ParityCurve(tuple(pts))
+    return ParityCurve(tuple((float(phi), parity(records, phi))
+                             for phi, records in groups))
 
 
 def fit_coherence(curve: ParityCurve, n_photons: int) -> CoherenceFit:
@@ -208,8 +185,7 @@ def ghz_fidelity(p: Estimate, c: Estimate) -> Estimate:
                     p.n_events + c.n_events)
 
 
-def ghz_witness(records_x, records_z, n_photons: int,
-                bootstrap: int = 0) -> WitnessResult:
+def ghz_witness(records_x, records_z, n_photons: int) -> WitnessResult:
     """GHZ fidelity lower bound from the X^N and Z^N settings.
 
     F >= (1 + S_1)/2 + prod_{k>=2} (1 + S_k)/2 - 1 with S_1 the full X
@@ -232,9 +208,8 @@ def ghz_witness(records_x, records_z, n_photons: int,
         raise InsufficientDataError("a witness setting has no events")
 
     x_prod = np.prod(x_ev.astype(np.int64), axis=1)
-    term1 = _mean_estimate(x_prod > 0, bootstrap, seed=1)
-    term2 = _mean_estimate(np.all(z_ev == z_ev[:, :1], axis=1),
-                           bootstrap, seed=2)
+    term1 = _mean_estimate(x_prod > 0)
+    term2 = _mean_estimate(np.all(z_ev == z_ev[:, :1], axis=1))
     bound = term1.value + term2.value - 1.0
     se = float(np.hypot(term1.stderr, term2.stderr))
 
@@ -315,8 +290,8 @@ def cluster_bound_value(s_values) -> float:
     return float(odd + even - 1.0)
 
 
-def cluster_witness(records_odd, records_even, n_photons: int,
-                    bootstrap: int = 0) -> WitnessResult:
+def cluster_witness(records_odd, records_even,
+                    n_photons: int) -> WitnessResult:
     """Cluster fidelity lower bound from the two alternating settings.
 
     ``records_odd`` must use XZXZ... (X on odd photons, measuring the
@@ -349,7 +324,7 @@ def cluster_witness(records_odd, records_even, n_photons: int,
             slots = [s for s, _ in _stabilizer_pattern(k, n_photons)]
             p = np.prod(ev[:, slots].astype(np.int64), axis=1)
             all_plus &= p == 1
-        terms.append(_mean_estimate(all_plus, bootstrap, seed=parity_class))
+        terms.append(_mean_estimate(all_plus))
 
     bound = terms[0].value + terms[1].value - 1.0
     se = float(np.hypot(terms[0].stderr, terms[1].stderr))

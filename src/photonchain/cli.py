@@ -1,5 +1,13 @@
 """Command-line driver: simulate | analyze | reproduce.
 
+``simulate`` runs the basis plans of one run config (plan i from the
+seed ``seed + i * PLAN_SEED_STRIDE``, see :func:`engine.run_plans`) and
+writes one records file stamped with that config's hash.  ``analyze``
+summarizes records per photon number.  ``reproduce`` builds the figure
+pipelines from the same two steps: every records file it writes comes
+from one run config, named ``<figure>_records_n<N>_<preset>.csv`` and
+stamped with that config's hash.
+
 Output files land in --outdir (or the PHOTONCHAIN_OUTDIR environment
 variable, or the working directory).  Exit codes: 0 success, 2 invalid
 configuration, usage or records file, 3 I/O failure, 4 the data support
@@ -20,12 +28,10 @@ import numpy as np
 
 from . import analysis as an
 from . import io as pio
-from .engine import (NumericalIntegrityError, coherence_probe, dd_scan,
-                     rate_benchmark, run_batch)
+from .engine import (PLAN_SEED_STRIDE, NumericalIntegrityError,
+                     coherence_probe, dd_scan, rate_benchmark, run_plans)
 from .noise import NoiseConfig, calibrate_field, raman_sigma_for_infidelity
 from .schedule import ProtocolConfig
-
-PLAN_SEED_STRIDE = 1000003   # distinct stream block per basis plan
 
 
 def operating_noise(b_model: str = "quasi-static") -> NoiseConfig:
@@ -51,7 +57,6 @@ def _outdir(args) -> Path:
 # simulate
 
 def _merged_config(args) -> pio.RunConfig:
-    data = {}
     if args.config:
         cfg = pio.load_config(args.config)
     else:
@@ -80,10 +85,29 @@ def _merged_config(args) -> pio.RunConfig:
     return pio.RunConfig(proto, noise, meas, execu)
 
 
+def simulate(cfg: pio.RunConfig, path: Path) -> list:
+    """Run every basis plan of ``cfg`` and write their records to ``path``,
+    stamped with the config's hash; returns the record batches."""
+    ex, chash = cfg.execution, cfg.hash()
+    plans = cfg.measurement.plans(cfg.protocol.n_photons)
+    batches = []
+    for batch in run_plans(cfg.protocol, cfg.noise, plans, ex.shots, ex.seed,
+                           threads=ex.threads,
+                           abort_on_loss=ex.abort_on_loss):
+        batches.append(batch)
+        codes = "".join(b.code() if b.kind == "Z" else "E"
+                        for b in batch.bases)
+        full = int(batch.detected.all(axis=1).sum())
+        print(f"plan {len(batches)}/{len(plans)} [{codes}]: "
+              f"{batch.n_shots} shots, {full} full-detection events")
+    pio.write_records(path, batches, chash, ex.seed)
+    print(f"records written to {path} (config {chash})")
+    return batches
+
+
 def cmd_simulate(args) -> int:
     cfg = _merged_config(args)
     outdir = _outdir(args)
-    chash = cfg.hash()
     ex = cfg.execution
 
     if cfg.protocol.kind == "rate":
@@ -99,22 +123,8 @@ def cmd_simulate(args) -> int:
               f"{result.duration:.0f} s; counts written to {path}")
         return 0
 
-    plans = cfg.measurement.plans(cfg.protocol.n_photons)
-    batches = []
-    for i, plan in enumerate(plans):
-        batch = run_batch(cfg.protocol, cfg.noise, plan, ex.shots,
-                          ex.seed + i * PLAN_SEED_STRIDE,
-                          threads=ex.threads,
-                          abort_on_loss=ex.abort_on_loss)
-        batches.append(batch)
-        full = int(batch.detected.all(axis=1).sum())
-        print(f"plan {i + 1}/{len(plans)} "
-              f"[{''.join(b.code() if b.kind == 'Z' else 'E' for b in plan)}]"
-              f": {batch.n_shots} shots, {full} full-detection events")
-    path = outdir / (args.out or f"records_{cfg.protocol.kind}"
-                     f"_n{cfg.protocol.n_photons}.csv")
-    pio.write_records(path, batches, chash, ex.seed)
-    print(f"records written to {path} (config {chash})")
+    simulate(cfg, outdir / (args.out or f"records_{cfg.protocol.kind}"
+                            f"_n{cfg.protocol.n_photons}.csv"))
     return 0
 
 
@@ -137,13 +147,10 @@ def analyze_batches(all_batches, n: int) -> dict:
     summary: dict = {"n_photons": n}
     z_batches = [b for b in all_batches if _is_uniform(b.bases, "Z")]
     x_batches = [b for b in all_batches if _is_uniform(b.bases, "E", 0.0)]
-    eq, seen_phi = [], set()
+    eq = {}    # phi -> the first uniform equator batch at that angle
     for b in all_batches:
-        if b.bases[0].kind == "E" and _is_uniform(b.bases, "E",
-                                                  b.bases[0].phi):
-            if b.bases[0].phi not in seen_phi:
-                seen_phi.add(b.bases[0].phi)
-                eq.append((b.bases[0].phi, b))
+        if _is_uniform(b.bases, "E", b.bases[0].phi):
+            eq.setdefault(b.bases[0].phi, b)
     odd = [b for b in all_batches if _alternating(b.bases, 1)]
     even = [b for b in all_batches if _alternating(b.bases, 0)]
 
@@ -155,7 +162,7 @@ def analyze_batches(all_batches, n: int) -> dict:
         p_est = an.populations(merged, n)
         summary["population"] = p_est
     if len(eq) >= 8:
-        curve = an.parity_curve(eq)
+        curve = an.parity_curve(eq.items())
         fit = an.fit_coherence(curve, n)
         c_est = fit.amplitude
         summary["coherence"] = c_est
@@ -179,6 +186,21 @@ def analyze_batches(all_batches, n: int) -> dict:
     return summary
 
 
+def summarize(per_n: dict) -> dict:
+    """:func:`analyze_batches` for each photon number, plus the fidelity
+    decay fit once three or more photon numbers give a fidelity."""
+    summary = {f"n{n}": analyze_batches(per_n[n], n) for n in sorted(per_n)}
+    fids = [(n, summary[f"n{n}"]["fidelity"]) for n in sorted(per_n)
+            if "fidelity" in summary[f"n{n}"]]
+    if len(fids) >= 3:
+        fit = an.decay_fit([n for n, _ in fids], [f for _, f in fids])
+        summary["decay"] = {
+            "slope_per_photon": fit.slope,
+            "intercept": fit.intercept,
+            "crossing_n50": fit.crossing if fit.crossing else "n/a"}
+    return summary
+
+
 def cmd_analyze(args) -> int:
     outdir = _outdir(args)
     expect = None
@@ -188,18 +210,7 @@ def cmd_analyze(args) -> int:
     for path in args.records or []:
         header, batches = pio.read_records(path, expect_hash=expect)
         per_n.setdefault(header["n"], []).extend(batches)
-    summary: dict = {}
-    for n in sorted(per_n):
-        summary[f"n{n}"] = analyze_batches(per_n[n], n)
-
-    fids = [(n, summary[f"n{n}"]["fidelity"]) for n in sorted(per_n)
-            if "fidelity" in summary[f"n{n}"]]
-    if len(fids) >= 3:
-        fit = an.decay_fit([n for n, _ in fids], [f for _, f in fids])
-        summary["decay"] = {
-            "slope_per_photon": fit.slope,
-            "intercept": fit.intercept,
-            "crossing_n50": fit.crossing if fit.crossing else "n/a"}
+    summary = summarize(per_n)
 
     if args.counts:
         rows = np.genfromtxt(args.counts, delimiter=",", names=True)
@@ -223,65 +234,47 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 # reproduce
 
-def _reproduce_fig2(outdir: Path, noiseless: bool, seed: int) -> None:
+def _reproduce_run(outdir: Path, fig: str, protocol: ProtocolConfig,
+                   noise: NoiseConfig, preset: str, shots: int,
+                   seed: int) -> list:
+    """:func:`simulate` one measurement preset into its own records file."""
+    cfg = pio.RunConfig(protocol, noise, pio.MeasurementPlan(preset=preset),
+                        pio.ExecutionPlan(shots=shots, seed=seed,
+                                          abort_on_loss=True))
+    return simulate(cfg, outdir / f"{fig}_records_n{protocol.n_photons}"
+                                  f"_{preset}.csv")
+
+
+def _reproduce_fig2(outdir: Path, noise: NoiseConfig, seed: int) -> None:
     """GHZ P/C/F versus N at the calibrated operating point.
 
     Shot counts (200k Z, 25x20k parity grid per N) resolve each estimate
     to well under a percent after loss post-selection.
     """
-    noise = NoiseConfig() if noiseless else operating_noise()
-    paths = []
-    for n in (2, 4, 6):
-        cfg = pio.RunConfig(
-            ProtocolConfig("ghz", n), noise,
-            pio.MeasurementPlan(preset="z"),
-            pio.ExecutionPlan(shots=200000, seed=seed, abort_on_loss=True))
-        plans = cfg.measurement.plans(n)
-        batches = [run_batch(cfg.protocol, noise, plans[0], 200000, seed,
-                             abort_on_loss=True)]
-        grid = pio.MeasurementPlan(preset="parity-grid").plans(n)
-        for i, plan in enumerate(grid):
-            batches.append(run_batch(cfg.protocol, noise, plan, 20000,
-                                     seed + (i + 1) * PLAN_SEED_STRIDE,
-                                     abort_on_loss=True))
-        path = outdir / f"fig2_records_n{n}.csv"
-        pio.write_records(path, batches, cfg.hash(), seed)
-        paths.append(path)
-        print(f"fig2: N={n} records at {path}")
     per_n = {}
-    for path in paths:
-        header, batches = pio.read_records(path)
-        per_n[header["n"]] = batches
-    summary = {f"n{n}": analyze_batches(bs, n) for n, bs in per_n.items()}
-    fids = [(n, summary[f"n{n}"]["fidelity"]) for n in sorted(per_n)]
-    fit = an.decay_fit([n for n, _ in fids], [f for _, f in fids])
-    summary["decay"] = {"slope_per_photon": fit.slope,
-                        "intercept": fit.intercept,
-                        "crossing_n50": fit.crossing if fit.crossing
-                        else "n/a"}
+    for n in (2, 4, 6):
+        ghz = ProtocolConfig("ghz", n)
+        per_n[n] = (
+            _reproduce_run(outdir, "fig2", ghz, noise, "z", 200000, seed)
+            + _reproduce_run(outdir, "fig2", ghz, noise, "parity-grid",
+                             20000, seed + PLAN_SEED_STRIDE))
+    summary = summarize(per_n)
     pio.write_summary(outdir / "fig2_summary.json", summary)
+    fids = [summary[f"n{n}"]["fidelity"] for n in per_n]
     pio.write_curve(outdir / "fig2_fidelity.csv", {
-        "n": [n for n, _ in fids],
-        "fidelity": [f.value for _, f in fids],
-        "stderr": [f.stderr for _, f in fids]})
+        "n": list(per_n),
+        "fidelity": [f.value for f in fids],
+        "stderr": [f.stderr for f in fids]})
 
 
-def _reproduce_fig3(outdir: Path, noiseless: bool, seed: int) -> None:
+def _reproduce_fig3(outdir: Path, noise: NoiseConfig, seed: int) -> None:
     """Cluster stabilizers and the two-setting witness bound at N=5."""
-    noise = NoiseConfig() if noiseless else operating_noise()
     n = 5
-    cfg = pio.RunConfig(ProtocolConfig("cluster", n), noise,
-                        pio.MeasurementPlan(preset="alternating-odd"),
-                        pio.ExecutionPlan(shots=400000, seed=seed,
-                                          abort_on_loss=True))
     batches = []
     for i, preset in enumerate(("alternating-odd", "alternating-even")):
-        plan = pio.MeasurementPlan(preset=preset).plans(n)[0]
-        batches.append(run_batch(cfg.protocol, noise, plan, 400000,
-                                 seed + i * PLAN_SEED_STRIDE,
-                                 abort_on_loss=True))
-    path = outdir / f"fig3_records_n{n}.csv"
-    pio.write_records(path, batches, cfg.hash(), seed)
+        batches += _reproduce_run(outdir, "fig3", ProtocolConfig("cluster", n),
+                                  noise, preset, 400000,
+                                  seed + i * PLAN_SEED_STRIDE)
     summary = analyze_batches(batches, n)
     pio.write_summary(outdir / "fig3_summary.json", summary)
     stabs = summary.get("stabilizers", {})
@@ -289,12 +282,10 @@ def _reproduce_fig3(outdir: Path, noiseless: bool, seed: int) -> None:
         "k": list(range(1, len(stabs) + 1)),
         "s_k": [stabs[f"S{k}"].value for k in range(1, len(stabs) + 1)],
         "stderr": [stabs[f"S{k}"].stderr for k in range(1, len(stabs) + 1)]})
-    print(f"fig3: records at {path}")
 
 
-def _reproduce_fig4(outdir: Path, noiseless: bool, seed: int) -> None:
+def _reproduce_fig4(outdir: Path, noise: NoiseConfig, seed: int) -> None:
     """Coincidence-rate scaling over six simulated hours."""
-    noise = NoiseConfig() if noiseless else operating_noise()
     cfg = ProtocolConfig("rate", 14)
     duration = 6 * 3600.0
     result = rate_benchmark(cfg, noise, duration, seed)
@@ -310,9 +301,8 @@ def _reproduce_fig4(outdir: Path, noiseless: bool, seed: int) -> None:
           f"(14-fold {result.rates[13] * 60.0:.3f}/min)")
 
 
-def _reproduce_edfig3(outdir: Path, noiseless: bool, seed: int) -> None:
+def _reproduce_edfig3(outdir: Path, noise: NoiseConfig, seed: int) -> None:
     """Idle-qubit coherence decay and the dynamical-decoupling tau scan."""
-    noise = NoiseConfig() if noiseless else operating_noise("quasi-static")
     delays = np.arange(0, 33) * 50e-6    # envelope peaks every 5 us
     overlaps, errs = [], []
     for i, t in enumerate(delays):
@@ -334,10 +324,11 @@ def _reproduce_edfig3(outdir: Path, noiseless: bool, seed: int) -> None:
 
 
 def cmd_reproduce(args) -> int:
+    seed = pio.ExecutionPlan(seed=args.seed).seed
     outdir = _outdir(args)
     fn = {"fig2": _reproduce_fig2, "fig3": _reproduce_fig3,
           "fig4": _reproduce_fig4, "edfig3": _reproduce_edfig3}[args.figure]
-    fn(outdir, args.noiseless, args.seed)
+    fn(outdir, NoiseConfig() if args.noiseless else operating_noise(), seed)
     return 0
 
 

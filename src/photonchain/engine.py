@@ -31,6 +31,7 @@ _SCAT_A = Sublevel(2, 1).index
 _SCAT_B = Sublevel(2, -1).index
 
 CHUNK = 1 << 15
+PLAN_SEED_STRIDE = 1000003   # distinct stream block per basis plan
 
 
 class NumericalIntegrityError(RuntimeError):
@@ -69,13 +70,6 @@ class RecordBatch:
             np.concatenate([self.run_ids, other.run_ids]),
             self.period,
         )
-
-
-def _effective_basis(basis: MeasBasis, frame_phi: float) -> MeasBasis:
-    """Fold the per-slot measurement-frame phase into an equator basis."""
-    if frame_phi == 0.0 or basis.kind == "Z":
-        return basis
-    return MeasBasis.equator(basis.phi + frame_phi)
 
 
 def _field_deltas(noise, seed, shots):
@@ -193,13 +187,13 @@ def _simulate_chunk(sched: PulseSchedule, ops: tuple, noise: NoiseConfig,
                 det = u < p_emit * eta
                 emitted = u < p_emit
 
-            basis = _effective_basis(bases[slot], sched.frame_phases[slot])
             u_o = crng.uniform(seed, cur_shots(),
                                crng.slot_draw(slot, crng.SLOT_OUTCOME))
 
-            # collapse in the plan basis (detected shots)
-            bp = basis.plus_state().conj()
-            bm = basis.minus_state().conj()
+            # collapse in the plan basis (detected shots); the joint state
+            # already carries the slot's measurement frame
+            bp = bases[slot].plus_state().conj()
+            bm = bases[slot].minus_state().conj()
             a_plus = joint @ bp
             a_minus = joint @ bm
             p_plus = np.sum(np.abs(a_plus) ** 2, axis=1)
@@ -316,12 +310,22 @@ def run_shot(schedule, noise: NoiseConfig, bases, seed: int,
                            seed, shot_index, shot_index + 1, False)
 
 
+def run_plans(cfg, noise: NoiseConfig, plans, shots: int, seed: int,
+              **run_batch_kwargs):
+    """Yield one :func:`run_batch` of ``shots`` per basis plan, plan ``i``
+    drawn from the seed ``seed + i * PLAN_SEED_STRIDE``; the keywords go
+    to every :func:`run_batch` call."""
+    for i, plan in enumerate(plans):
+        yield run_batch(cfg, noise, plan, shots, seed + i * PLAN_SEED_STRIDE,
+                        **run_batch_kwargs)
+
+
 # ---------------------------------------------------------------------------
 # benchmark and coherence probes
 
 @dataclass
 class RateResult:
-    counts: np.ndarray       # coincidences for N = 1 .. n_max
+    counts: np.ndarray       # coincidences for N = 1 .. n_photons
     n_runs: int
     duration: float          # total simulated wall-clock time, s
     period: float
@@ -333,36 +337,35 @@ class RateResult:
 
 
 def rate_benchmark(cfg: ProtocolConfig, noise: NoiseConfig, duration: float,
-                   seed: int, n_max: int | None = None) -> RateResult:
+                   seed: int) -> RateResult:
     """Coincidence counting: runs every repetition period, each making
-    ``n_max`` consecutive generation attempts; an N-fold coincidence needs
-    photons 1..N all detected starting from the first attempt.
+    ``cfg.n_photons`` consecutive generation attempts; an N-fold
+    coincidence needs photons 1..N all detected starting from the first
+    attempt.
 
     Detection is independent of the measured polarizations, so this path
     samples only the detection Bernoulli chain.
     """
     if cfg.kind != "rate":
         raise ValueError("rate_benchmark needs a RateBenchmark config")
-    n_max = n_max or cfg.n_photons
     period = cfg.repetition_period
     n_runs = int(duration / period)
     if n_runs < 1:
         raise ValueError("duration shorter than one repetition period")
     eta = noise.eta
-    counts = np.zeros(n_max, dtype=np.int64)
+    counts = np.zeros(cfg.n_photons, dtype=np.int64)
     for lo in range(0, n_runs, CHUNK * 4):
         hi = min(lo + CHUNK * 4, n_runs)
         runs = np.arange(lo, hi, dtype=np.uint64)
         alive = np.ones(hi - lo, dtype=bool)
-        for k in range(n_max):
+        for k in range(cfg.n_photons):
             u = crng.uniform(seed, runs, crng.slot_draw(k, crng.SLOT_DETECT))
             alive &= u < eta
             counts[k] += int(np.count_nonzero(alive))
     return RateResult(counts, n_runs, n_runs * period, period)
 
 
-def coherence_probe(delay: float, noise: NoiseConfig, shots: int, seed: int,
-                    timings=None):
+def coherence_probe(delay: float, noise: NoiseConfig, shots: int, seed: int):
     """Two-photon overlap probe of the idle qubit coherence.
 
     Photon 1 is measured in the linear basis, the atom precesses for
@@ -371,8 +374,7 @@ def coherence_probe(delay: float, noise: NoiseConfig, shots: int, seed: int,
     """
     if delay < 0:
         raise ValueError("delay must be non-negative")
-    kwargs = {"timings": timings} if timings is not None else {}
-    cfg = ProtocolConfig(COHERENCE, 2, probe_delay=delay, **kwargs)
+    cfg = ProtocolConfig(COHERENCE, 2, probe_delay=delay)
     bases = [MeasBasis.x(), MeasBasis.x()]
     batch = run_batch(cfg, noise, bases, shots, seed, abort_on_loss=True)
     full = batch.detected.all(axis=1)
@@ -385,50 +387,34 @@ def coherence_probe(delay: float, noise: NoiseConfig, shots: int, seed: int,
     return float(p), float(np.sqrt(max(p * (1 - p), 0.0) / n_ev)), n_ev
 
 
-def parity_visibility_run(cfg: ProtocolConfig, noise: NoiseConfig,
-                          shots: int, seed: int, n_phi: int = 25,
-                          threads: int = 1):
-    """Measure the parity curve over an equator-angle grid and fit its
-    visibility.  Shots are split evenly over the grid."""
+def parity_visibility_run(cfg, noise: NoiseConfig, shots: int, seed: int,
+                          **run_batch_kwargs):
+    """Measure the parity curve over a 25-angle equator grid in [0, pi]
+    and fit its visibility.  Shots are split evenly over the grid; grid
+    point i is plan i of :func:`run_plans`, and the other keywords go to
+    :func:`run_batch`."""
     from .analysis import ParityCurve, fit_coherence, parity
 
     n = cfg.n_photons
-    phis = np.linspace(0.0, np.pi, n_phi)
-    per_phi = max(shots // n_phi, 1)
-    pts = []
-    for i, phi in enumerate(phis):
-        bases = [MeasBasis.equator(phi)] * n
-        batch = run_batch(cfg, noise, bases, per_phi, seed + i * 1000003,
-                          threads=threads, abort_on_loss=True)
-        # reduce each grid point immediately: at criterion-scale shot
-        # counts, holding all 25 record batches at once is GB-scale
-        pts.append((float(phi), parity(batch, float(phi))))
+    phis = np.linspace(0.0, np.pi, 25)
+    plans = [[MeasBasis.equator(phi)] * n for phi in phis]
+    batches = run_plans(cfg, noise, plans, max(shots // len(plans), 1), seed,
+                        abort_on_loss=True, **run_batch_kwargs)
+    # reduce each grid point as it arrives: at criterion-scale shot
+    # counts, holding all 25 record batches at once is GB-scale
+    pts = [(float(phi), parity(batch, float(phi)))
+           for phi, batch in zip(phis, batches)]
     return fit_coherence(ParityCurve(tuple(pts)), n)
 
 
 def dd_scan(tau_values, noise: NoiseConfig, shots: int, seed: int,
-            n_photons: int = 6, timings=None, flip_f2_sign: bool = True,
-            threads: int = 1):
-    """Parity visibility of a stretched-cycle GHZ state versus the
-    transfer-to-emission delay tau.  Returns [(tau, visibility Estimate)].
+            **run_batch_kwargs):
+    """Parity visibility of a stretched-cycle 6-photon GHZ state versus
+    the transfer-to-emission delay tau; scan point j is a
+    :func:`parity_visibility_run` at ``seed + 31 j PLAN_SEED_STRIDE``.
+    Returns [(tau, visibility Estimate)].
     """
-    from .analysis import fit_coherence, parity_curve
-
-    out = []
-    kwargs = {"timings": timings} if timings is not None else {}
-    for j, tau in enumerate(tau_values):
-        cfg = ProtocolConfig(DDSCAN, n_photons, dd_tau=float(tau), **kwargs)
-        sched = build_schedule(cfg)
-        phis = np.linspace(0.0, np.pi, 25)
-        per_phi = max(shots // len(phis), 1)
-        curve = []
-        for i, phi in enumerate(phis):
-            bases = [MeasBasis.equator(phi)] * n_photons
-            batch = run_batch(sched, noise, bases, per_phi,
-                              seed + (j * 31 + i) * 1000003,
-                              threads=threads, abort_on_loss=True,
-                              flip_f2_sign=flip_f2_sign)
-            curve.append((phi, batch))
-        fit = fit_coherence(parity_curve(curve), n_photons)
-        out.append((float(tau), fit.amplitude))
-    return out
+    return [(float(tau), parity_visibility_run(
+        ProtocolConfig(DDSCAN, 6, dd_tau=float(tau)), noise, shots,
+        seed + 31 * j * PLAN_SEED_STRIDE, **run_batch_kwargs).amplitude)
+        for j, tau in enumerate(tau_values)]

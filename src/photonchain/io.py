@@ -3,10 +3,13 @@
 Records are delimited text, one row per shot (run_id, attempts, delta,
 then per-photon triples detected/basis/outcome), with a header line
 carrying the format version, a hash of the generating config, the seed,
-the photon count and the run period.  The hash is checked on re-load so records are never analyzed
-against the wrong post-selection assumptions.  Summaries are JSON with
-sorted keys, so re-running an analysis on the same records reproduces
-the summary byte-identically.
+the photon count and the run period.  The hash is checked on re-load so
+records are never analyzed against the wrong post-selection assumptions.
+Summaries are JSON with sorted keys, so re-running an analysis on the
+same records reproduces the summary byte-identically.  The readers of
+outside input raise only their declared errors: :func:`parse_config` a
+:class:`ConfigError`, :func:`read_records` a :class:`RecordsFormatError`
+(or ``OSError`` when the file cannot be read).
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -118,6 +122,34 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _number(value) -> float:
+    """A finite JSON number as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite number")
+    return float(value)
+
+
+def _chain_link(entry) -> tuple[str, float]:
+    name, p = entry
+    return str(name), _number(p)
+
+
+def _list(section: dict, key: str, item) -> tuple:
+    """The list ``section[key]`` converted item by item."""
+    value = section[key]
+    try:
+        if not isinstance(value, list):
+            raise TypeError(f"must be a list, got {value!r}")
+        return tuple(item(v) for v in value)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"invalid {key}: {exc}") from exc
+
+
+# field default type -> the JSON types a config may give for the field
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
 def _build_section(cls, data: dict, section: str):
     allowed = {f.name for f in fields(cls)}
     unknown = set(data) - allowed
@@ -125,61 +157,70 @@ def _build_section(cls, data: dict, section: str):
         raise ConfigError(
             f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}")
     try:
+        for f in fields(cls):
+            types = _JSON_TYPES.get(type(f.default), ())
+            value = data.get(f.name, f.default)
+            if types and (not isinstance(value, types)
+                          or isinstance(value, bool) != (bool in types)):
+                raise TypeError(f"{f.name} must be {types[-1].__name__}, "
+                                f"got {value!r}")
+            if float in types:
+                _number(value)
         return cls(**data)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"invalid [{section}] section: {exc}") from exc
 
 
-def parse_config(data: dict) -> RunConfig:
+def parse_config(data) -> RunConfig:
     """Build a RunConfig from a parsed JSON document.
 
     Accepts either the sectioned form ({"protocol": {...}, ...}) or the
     flat shorthand with protocol fields at top level; unknown keys are
-    rejected with the offending names.
+    rejected with the offending names.  Whatever the document, the only
+    error raised is :class:`ConfigError`.
     """
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    data = dict(data)
-    sections = {"protocol", "noise", "measurement", "execution"}
-    if not (sections & set(data)):
+    sections = ("protocol", "noise", "measurement", "execution")
+    if not (set(sections) & set(data)):
         data = {"protocol": data}       # flat shorthand
-    unknown = set(data) - sections
+    unknown = set(data) - set(sections)
     if unknown:
         raise ConfigError(f"unknown section(s): {', '.join(sorted(unknown))}")
+    bad = [name for name in data if not isinstance(data[name], dict)]
+    if bad:
+        raise ConfigError(f"section [{bad[0]}] must be a JSON object")
+    proto, noise_d, meas_d, exec_d = (dict(data.get(name, {}))
+                                      for name in sections)
 
-    proto = dict(data.get("protocol", {}))
     if "kind" not in proto:
         raise ConfigError("protocol.kind is required")
     if proto["kind"] not in KINDS:
         raise ConfigError(f"unknown protocol kind {proto['kind']!r} "
                           f"(choose from {', '.join(KINDS)})")
-    if "thetas" in proto and proto["thetas"] is not None:
-        proto["thetas"] = tuple(float(t) for t in proto["thetas"])
+    if proto.get("thetas") is not None:
+        proto["thetas"] = _list(proto, "thetas", _number)
     if "timings" in proto:
-        proto["timings"] = _build_section(TimingTable, dict(proto["timings"]),
+        if not isinstance(proto["timings"], dict):
+            raise ConfigError("protocol.timings must be a JSON object")
+        proto["timings"] = _build_section(TimingTable, proto["timings"],
                                           "protocol.timings")
-    protocol = _build_section(ProtocolConfig, proto, "protocol")
-
-    noise_d = dict(data.get("noise", {}))
     if "detection_chain" in noise_d:
-        noise_d["detection_chain"] = tuple(
-            (str(name), float(p)) for name, p in noise_d["detection_chain"])
-    noise = _build_section(NoiseConfig, noise_d, "noise")
-
-    meas_d = dict(data.get("measurement", {}))
+        noise_d["detection_chain"] = _list(noise_d, "detection_chain",
+                                           _chain_link)
     if "bases" in meas_d:
-        meas_d["bases"] = tuple(str(b) for b in meas_d["bases"])
-    measurement = _build_section(MeasurementPlan, meas_d, "measurement")
-    execution = _build_section(ExecutionPlan, dict(data.get("execution", {})),
-                               "execution")
-    return RunConfig(protocol, noise, measurement, execution)
+        meas_d["bases"] = _list(meas_d, "bases", str)
+    return RunConfig(_build_section(ProtocolConfig, proto, "protocol"),
+                     _build_section(NoiseConfig, noise_d, "noise"),
+                     _build_section(MeasurementPlan, meas_d, "measurement"),
+                     _build_section(ExecutionPlan, exec_d, "execution"))
 
 
 def load_config(path) -> RunConfig:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     return parse_config(data)
 
@@ -230,51 +271,13 @@ def read_records(path, expect_hash: str | None = None):
     Returns ``(header, batches)`` where header is a dict with the config
     hash, seed, photon count and run period.  A mismatching
     ``expect_hash`` raises :class:`RecordsFormatError` rather than
-    silently mis-analyzing, and so does a malformed cell, naming its line.
+    silently mis-analyzing, and so does any malformed content, naming its
+    line where it can; only a failure to read the file raises ``OSError``.
     """
-    with open(path) as fh:
-        first = fh.readline().strip()
-        if not first.startswith(f"# {FORMAT_VERSION}"):
-            raise RecordsFormatError(f"{path}: not a {FORMAT_VERSION} file")
-        meta = dict(tok.split("=", 1)
-                    for tok in first.split()[3:] if "=" in tok)
-        header = {"config": meta.get("config", ""),
-                  "seed": int(meta.get("seed", 0)),
-                  "n": int(meta.get("n", 0)),
-                  "period": float(meta.get("period", 0.0))}
-        if expect_hash is not None and header["config"] != expect_hash:
-            raise RecordsFormatError(
-                f"{path}: config hash {header['config']} does not match "
-                f"expected {expect_hash}")
-        reader = csv.reader(fh)
-        cols = next(reader)
-        n = (len(cols) - 3) // 3
-        if n != header["n"]:
-            raise RecordsFormatError(f"{path}: column count disagrees with "
-                                     f"header n={header['n']}")
-        groups: dict[tuple, tuple] = {}   # codes -> (bases, rows)
-        # errors name the file line: reader.line_num + 1, since the
-        # header line was read before the csv reader started
-        for row in reader:
-            if len(row) != 3 + 3 * n:
-                raise RecordsFormatError(
-                    f"{path}:{reader.line_num + 1}: ragged row {row[:2]}")
-            try:
-                codes = tuple(row[3 + 3 * k + 1] for k in range(n))
-                if codes not in groups:
-                    groups[codes] = (
-                        tuple(MeasBasis.from_code(c) for c in codes), [])
-                det = [_DETECTED_VALUE[row[3 + 3 * k]] for k in range(n)]
-                out = [_OUTCOME_VALUE[row[3 + 3 * k + 2]] for k in range(n)]
-                entry = (int(row[0]), int(row[1]), float(row[2]), det, out)
-            except (KeyError, ValueError) as exc:
-                raise RecordsFormatError(
-                    f"{path}:{reader.line_num + 1}: malformed cell "
-                    f"({exc})") from exc
-            groups[codes][1].append(entry)
-    batches = []
-    for bases, rows in groups.values():
-        batches.append(RecordBatch(
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header, groups = _read_groups(path, fh, expect_hash)
+        return header, [RecordBatch(
             bases=bases,
             detected=np.array([r[3] for r in rows], dtype=bool),
             outcomes=np.array([r[4] for r in rows], dtype=np.int8),
@@ -282,8 +285,57 @@ def read_records(path, expect_hash: str | None = None):
             deltas=np.array([r[2] for r in rows]),
             run_ids=np.array([r[0] for r in rows], dtype=np.int64),
             period=header["period"],
-        ))
-    return header, batches
+        ) for bases, rows in groups.values()]
+    except (UnicodeDecodeError, csv.Error, OverflowError) as exc:
+        raise RecordsFormatError(f"{path}: malformed records ({exc})") \
+            from exc
+
+
+def _read_groups(path, fh, expect_hash):
+    """The header dict and the rows of each basis plan, as
+    ``{codes: (bases, [(run_id, attempts, delta, det, out), ...])}``."""
+    first = fh.readline().strip()
+    if not first.startswith(f"# {FORMAT_VERSION}"):
+        raise RecordsFormatError(f"{path}: not a {FORMAT_VERSION} file")
+    meta = dict(tok.split("=", 1) for tok in first.split()[3:] if "=" in tok)
+    try:
+        header = {"config": meta.get("config", ""),
+                  "seed": int(meta.get("seed", 0)),
+                  "n": int(meta.get("n", 0)),
+                  "period": float(meta.get("period", 0.0))}
+    except ValueError as exc:
+        raise RecordsFormatError(f"{path}:1: malformed header ({exc})") \
+            from exc
+    if expect_hash is not None and header["config"] != expect_hash:
+        raise RecordsFormatError(
+            f"{path}: config hash {header['config']} does not match "
+            f"expected {expect_hash}")
+    reader = csv.reader(fh)
+    n = (len(next(reader, ())) - 3) // 3
+    if n != header["n"] or n < 1:
+        raise RecordsFormatError(f"{path}: column count disagrees with "
+                                 f"header n={header['n']}")
+    groups: dict[tuple, tuple] = {}
+    # errors name the file line: reader.line_num + 1, since the header
+    # line was read before the csv reader started
+    for row in reader:
+        if len(row) != 3 + 3 * n:
+            raise RecordsFormatError(
+                f"{path}:{reader.line_num + 1}: ragged row {row[:2]}")
+        try:
+            codes = tuple(row[3 + 3 * k + 1] for k in range(n))
+            if codes not in groups:
+                groups[codes] = (
+                    tuple(MeasBasis.from_code(c) for c in codes), [])
+            det = [_DETECTED_VALUE[row[3 + 3 * k]] for k in range(n)]
+            out = [_OUTCOME_VALUE[row[3 + 3 * k + 2]] for k in range(n)]
+            entry = (int(row[0]), int(row[1]), float(row[2]), det, out)
+        except (KeyError, ValueError) as exc:
+            raise RecordsFormatError(
+                f"{path}:{reader.line_num + 1}: malformed cell "
+                f"({exc})") from exc
+        groups[codes][1].append(entry)
+    return header, groups
 
 
 # ---------------------------------------------------------------------------

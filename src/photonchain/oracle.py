@@ -10,7 +10,8 @@ Two exact paths are provided:
   space, which is exact at any photon number and O(N).
 
 Both run the op list of :func:`~photonchain.schedule.compile_schedule`,
-the one the trajectory engine runs.
+the one the trajectory engine runs, so all three measure each photon in
+its slot's measurement frame.
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 class DenseSizeError(ValueError):
     """Photon number above the dense-simulation cap."""
-
-
-class FrameMismatchError(RuntimeError):
-    """Local-frame search failed to reach its residual threshold."""
 
 
 @dataclass
@@ -142,10 +139,11 @@ def dense_run(cfg, delta: float = 0.0,
               flip_f2_sign: bool = True) -> DenseState:
     """Exact noiseless protocol run (optionally at a fixed field offset).
 
-    Emitted photons accumulate as qubit axes; the returned state carries
-    the atom axis first and photon slots in emission order.  An emission
-    with population outside its source levels means a mis-sequenced
-    schedule and raises :class:`EmissionLevelError`.
+    Emitted photons accumulate as qubit axes, each in its slot's
+    measurement frame; the returned state carries the atom axis first and
+    photon slots in emission order.  An emission with population outside
+    its source levels means a mis-sequenced schedule and raises
+    :class:`EmissionLevelError`.
     """
     sched = _as_schedule(cfg)
     if sched.n_photons > MAX_DENSE_PHOTONS:
@@ -251,9 +249,8 @@ def product_expectation(cfg, slot_ops, delta: float = 0.0,
     sched = _as_schedule(cfg)
     if len(slot_ops) != sched.n_photons:
         raise ValueError("one observable per photon slot required")
-    ops = [_conj_frame(PAULI[o] if isinstance(o, str)
-                       else np.asarray(o, dtype=complex), phi)
-           for o, phi in zip(slot_ops, sched.frame_phases)]
+    ops = [PAULI[o] if isinstance(o, str) else np.asarray(o, dtype=complex)
+           for o in slot_ops]
     x = np.eye(8, dtype=complex)
     for op in reversed(compile_schedule(sched, flip_f2_sign)):
         if isinstance(op, PulseOp):
@@ -268,13 +265,6 @@ def product_expectation(cfg, slot_ops, delta: float = 0.0,
             p = op.phases(delta)
             x = np.conj(p)[:, None] * x * p[None, :]
     return float(np.real(x[PUMPED, PUMPED]))
-
-
-def _conj_frame(m: np.ndarray, phi: float) -> np.ndarray:
-    if phi == 0.0:
-        return m
-    rz = np.diag([1.0, np.exp(1j * phi)])
-    return rz.conj().T @ m @ rz
 
 
 # ---------------------------------------------------------------------------

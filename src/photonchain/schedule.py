@@ -167,10 +167,6 @@ class PulseSchedule:
     def cycle_duration(self, cycle: int) -> float:
         return sum(s.duration for s in self.steps if s.cycle == cycle)
 
-    @property
-    def n_cycles(self) -> int:
-        return 1 + max(s.cycle for s in self.steps)
-
 
 _L11 = Sublevel(1, 1).index
 _L1M1 = Sublevel(1, -1).index
@@ -360,7 +356,8 @@ def compile_schedule(sched: PulseSchedule,
 
     Each step becomes its precession (when it has a duration, pumping
     aside) followed by its action, which is the precess-then-fire order
-    described in the module docstring.
+    described in the module docstring.  Each emission carries its slot's
+    measurement frame, so every simulator measures the framed photon.
     """
     coeff = precession_coefficients(flip_f2_sign)
     ops = []
@@ -381,5 +378,8 @@ def compile_schedule(sched: PulseSchedule,
             if step.scatter_point:
                 ops.append(ScatterOp())
         elif step.kind == EMIT:
-            ops.append(EmitOp(step.slot, *emission_map(step.emit_kind)))
+            domain, vdom = emission_map(step.emit_kind)
+            # the slot's measurement frame diag(1, e^{i phi}) on the photon
+            vdom[1::2] *= np.exp(1j * sched.frame_phases[step.slot])
+            ops.append(EmitOp(step.slot, domain, vdom))
     return tuple(ops)

@@ -32,7 +32,6 @@ from photonchain.noise import (
 )
 from photonchain.oracle import (
     CanonicalTarget,
-    apply_frame,
     basis_observable,
     dense_run,
     product_expectation,
@@ -159,7 +158,7 @@ def test_criterion_3_oracle_equivalence(capsys):
             else:
                 bases.append(MeasBasis.equator(float(rs.uniform(0, np.pi))))
         sched = build_schedule(cfg)
-        state = apply_frame(dense_run(sched), sched.frame_phases)
+        state = dense_run(sched)
         ref = register_distribution(state.photon_register(), bases)
 
         batch = run_batch(sched, NOISELESS, bases, shots,
@@ -247,7 +246,7 @@ def test_criterion_5_witness_soundness(capsys):
         n = 2 + trial % 4
         kind = "ghz" if trial % 2 == 0 else "cluster"
         sched = build_schedule(ProtocolConfig(kind, n))
-        state = apply_frame(dense_run(sched), sched.frame_phases)
+        state = dense_run(sched)
         psi = state.photon_register().reshape(-1)
         # local coherent errors plus a global admixture
         psi = psi.reshape((2,) * n)

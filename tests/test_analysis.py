@@ -203,14 +203,6 @@ def test_empty_postselection_raises():
             populations(batch, 4)
 
 
-def test_bootstrap_se_close_to_binomial():
-    batch = ghz_batch(3, [MeasBasis.equator(0.5)] * 3, shots=4000)
-    boot = parity(batch, 0.5, bootstrap=200)
-    plain = parity(batch, 0.5)
-    assert boot.value == plain.value
-    assert boot.stderr == pytest.approx(plain.stderr, rel=0.3)
-
-
 def test_rate_fit_recovers_eta():
     eta, runs = 0.4318, 10_000_000
     rs = np.random.default_rng(3)

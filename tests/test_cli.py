@@ -6,6 +6,10 @@ from dataclasses import asdict
 import pytest
 
 from photonchain.cli import main, operating_noise
+from photonchain.engine import PLAN_SEED_STRIDE
+from photonchain.io import (ExecutionPlan, MeasurementPlan, RunConfig,
+                            read_records)
+from photonchain.schedule import ProtocolConfig
 
 
 def run(argv):
@@ -144,12 +148,61 @@ def test_degenerate_fit_exit_code(tmp_path):
 
 
 def test_integrity_error_exit_code(tmp_path, monkeypatch):
-    from photonchain import cli
+    from photonchain import engine
     from photonchain.engine import NumericalIntegrityError
 
     def drifting(*args, **kwargs):
         raise NumericalIntegrityError("state norm drifted to 1.1")
 
-    monkeypatch.setattr(cli, "run_batch", drifting)
+    monkeypatch.setattr(engine, "run_batch", drifting)
     assert run(["simulate", "--kind", "ghz", "--n", "2", "--shots", "10",
                 "--outdir", str(tmp_path)]) == 4
+
+
+@pytest.mark.parametrize("text", [
+    '{"kind": "custom", "n_photons": 3, "thetas": 1.5}',
+    '{"kind": "ghz", "timings": 5}',
+    '{"protocol": {"kind": "ghz"}, "noise": {"detection_chain": 0.7}}',
+    '{"protocol": {"kind": "ghz"}, "measurement": {"bases": 5}}',
+    '{"protocol": 5}',
+    '{"protocol": {"kind": "ghz"}, "execution": {"shots": 2.5}}',
+    '{"protocol": {"kind": "ghz"}, "execution": {"shots": 1e400}}',
+])
+def test_malformed_config_file_exit_code(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run(["simulate", "--config", str(cfg),
+                "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("figure", ["fig2", "fig3", "fig4", "edfig3"])
+def test_reproduce_seed_out_of_range_exit_code(tmp_path, capsys, figure):
+    assert run(["reproduce", figure, "--seed", "-1",
+                "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "seed" in err
+
+
+def test_reproduce_fig3_records_provenance(tmp_path, capsys):
+    seed = 5
+    assert run(["reproduce", "fig3", "--seed", str(seed),
+                "--outdir", str(tmp_path)]) == 0
+    assert len(list(tmp_path.glob("*records*"))) == 2
+    for i, preset in enumerate(("alternating-odd", "alternating-even")):
+        cfg = RunConfig(ProtocolConfig("cluster", 5), operating_noise(),
+                        MeasurementPlan(preset=preset),
+                        ExecutionPlan(shots=400000,
+                                      seed=seed + i * PLAN_SEED_STRIDE,
+                                      abort_on_loss=True))
+        path = tmp_path / f"fig3_records_n5_{preset}.csv"
+        header, batches = read_records(path, expect_hash=cfg.hash())
+        assert header["seed"] == cfg.execution.seed
+        assert [b.bases for b in batches] == [
+            tuple(cfg.measurement.plans(5)[0])]
+        assert batches[0].n_shots == 400000
+    summary = json.loads((tmp_path / "fig3_summary.json").read_text())
+    assert sorted(summary["stabilizers"]) == [f"S{k}" for k in range(1, 6)]
+    assert -1.0 <= summary["cluster_witness"]["bound"]["value"] <= 1.0

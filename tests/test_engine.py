@@ -1,6 +1,8 @@
 """Trajectory engine: statistics against the dense oracle, determinism,
 loss accounting and the built-in probes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from photonchain.engine import (
 )
 from photonchain.levels import MeasBasis
 from photonchain.noise import NoiseConfig, calibrate_field, coherence_envelope
-from photonchain.oracle import dense_run, outcome_distribution
+from photonchain.oracle import (basis_observable, dense_run,
+                                outcome_distribution, product_expectation)
 from photonchain.schedule import ProtocolConfig, build_schedule
 
 NOISELESS = NoiseConfig()
@@ -30,11 +33,7 @@ def empirical_distribution(batch):
 
 
 def oracle_distribution(cfg, bases):
-    from photonchain.oracle import apply_frame
-
-    sched = build_schedule(cfg)
-    state = apply_frame(dense_run(sched), sched.frame_phases)
-    return outcome_distribution(state, bases)
+    return outcome_distribution(dense_run(cfg), bases)
 
 
 @pytest.mark.parametrize("kind", ["ghz", "cluster"])
@@ -47,6 +46,22 @@ def test_matches_oracle_mixed_bases(kind):
     ref = oracle_distribution(cfg, bases)
     tvd = 0.5 * np.abs(emp - ref).sum()
     assert tvd < 0.02
+
+
+def test_frame_phase_sign_matches_oracle():
+    # a frame phase other than 0 or pi tells its sign apart: both oracles
+    # measure the photon after diag(1, e^{i f}), so <X Eq(0.3)> = cos(0.4)
+    sched = replace(build_schedule(ProtocolConfig("ghz", 2)),
+                    frame_phases=(0.7, 0.0))
+    bases = [MeasBasis.x(), MeasBasis.equator(0.3)]
+    want = product_expectation(sched, [basis_observable(b) for b in bases])
+    assert want == pytest.approx(np.cos(0.4), abs=1e-12)
+    dense = outcome_distribution(dense_run(sched), bases) @ [1, -1, -1, 1]
+    assert dense == pytest.approx(want, abs=1e-12)
+    shots = 200000
+    batch = run_batch(sched, NOISELESS, bases, shots, seed=31)
+    m = np.prod(batch.outcomes.astype(np.int64), axis=1).mean()
+    assert abs(m - want) < 4 * np.sqrt((1 - want ** 2) / shots)
 
 
 def test_ghz_z_outcomes_perfectly_correlated():

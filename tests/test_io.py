@@ -1,10 +1,14 @@
 """Config parsing, records round-trips and deterministic summaries."""
 
 import json
-from dataclasses import replace
+import tempfile
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonchain.analysis import Estimate
 from photonchain.engine import run_batch
@@ -201,3 +205,104 @@ def test_runconfig_defaults():
     assert cfg.execution == ExecutionPlan()
     d = cfg.canonical()
     assert set(d) == {"protocol", "noise", "measurement", "execution"}
+
+
+# ---------------------------------------------------------------------------
+# outside input raises only the declared errors
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+
+
+def _section_strategy(cls):
+    """Objects with some of ``cls``'s field names, set to any JSON value."""
+    keys = st.sampled_from([f.name for f in fields(cls)])
+    return st.dictionaries(keys, JSON_VALUES, max_size=4)
+
+
+CONFIG_DOCUMENTS = JSON_VALUES | st.fixed_dictionaries({}, optional={
+    "protocol": _section_strategy(ProtocolConfig).map(
+        lambda d: {"kind": "custom", **d}) | _section_strategy(
+            ProtocolConfig),
+    "noise": _section_strategy(NoiseConfig),
+    "measurement": _section_strategy(MeasurementPlan),
+    "execution": _section_strategy(ExecutionPlan),
+})
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=CONFIG_DOCUMENTS)
+def test_parse_config_raises_only_config_error(data):
+    try:
+        parse_config(data)
+    except ConfigError:
+        pass
+
+
+@pytest.mark.parametrize("data", [
+    {"kind": "custom", "n_photons": 3, "thetas": 1.5},
+    {"kind": "ghz", "timings": 5},
+    {"protocol": {"kind": "ghz"}, "noise": {"detection_chain": 0.7}},
+    {"protocol": {"kind": "ghz"}, "measurement": {"preset": "custom",
+                                                  "bases": "ZZ"}},
+    {"protocol": 5},
+    {"protocol": {"kind": "ghz"}, "execution": {"shots": 2.5}},
+    {"protocol": {"kind": "ghz"}, "execution": {"shots": float("inf")}},
+    {"protocol": {"kind": "ghz"}, "execution": {"seed": True}},
+    {"kind": "ghz", "n_photons": 2.5},
+    {"protocol": {"kind": "ghz"}, "noise": {"eta0": float("nan")}},
+])
+def test_malformed_config_values_rejected(data):
+    with pytest.raises(ConfigError):
+        parse_config(data)
+
+
+def _valid_records_bytes():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "r.csv"
+        write_records(path, sample_batches(), "cafe0123cafe0123", seed=5)
+        return path.read_bytes()
+
+
+VALID_RECORDS = _valid_records_bytes()
+VALID_PREFIX = b"\n".join(VALID_RECORDS.split(b"\n")[:2]) + b"\n"
+
+
+@st.composite
+def _mutated_records(draw):
+    data = bytearray(VALID_RECORDS)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data) - 1))
+        data[at:at + draw(st.integers(0, 8))] = draw(st.binary(max_size=8))
+    return bytes(data)
+
+
+@settings(deadline=None, max_examples=300)
+@given(content=st.binary(max_size=200)
+       | st.binary(max_size=200).map(lambda b: VALID_PREFIX + b)
+       | _mutated_records())
+def test_read_records_raises_only_declared_errors(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "r.csv"
+        path.write_bytes(content)
+        try:
+            read_records(path)
+        except (RecordsFormatError, OSError):
+            pass
+
+
+@pytest.mark.parametrize("content", [
+    VALID_PREFIX.split(b"\n")[0] + b"\n",                  # header only
+    VALID_RECORDS.replace(b"seed=5", b"seed=x"),
+    VALID_RECORDS.replace(b"n=3", b"n=0"),
+    VALID_PREFIX + b"\xff\xfe,1,0.0\n",                    # not UTF-8
+    VALID_PREFIX + b"0,40000,0.0" + b",1,Z,+1" * 3 + b"\n",   # int16 range
+])
+def test_malformed_records_file_rejected(tmp_path, content):
+    path = tmp_path / "r.csv"
+    path.write_bytes(content)
+    with pytest.raises(RecordsFormatError):
+        read_records(path)

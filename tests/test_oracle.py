@@ -22,12 +22,7 @@ from photonchain.oracle import (
     product_expectation,
     register_distribution,
 )
-from photonchain.schedule import ProtocolConfig, build_schedule
-
-
-def framed(cfg):
-    """Dense run with the schedule's measurement-frame correction applied."""
-    return apply_frame(dense_run(cfg), build_schedule(cfg).frame_phases)
+from photonchain.schedule import ProtocolConfig
 
 
 def test_targets():
@@ -71,14 +66,14 @@ def test_ghz_run_exact(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_cluster_run_exact_in_frame(n):
-    framed_state = framed(ProtocolConfig("cluster", n))
+    framed_state = dense_run(ProtocolConfig("cluster", n))
     assert fidelity(framed_state, CanonicalTarget("cluster", n)) == \
         pytest.approx(1.0, abs=1e-12)
 
 
 def test_cluster_stabilizers_plus_one():
     n = 6
-    psi = framed(ProtocolConfig("cluster", n)).photon_register()
+    psi = dense_run(ProtocolConfig("cluster", n)).photon_register()
     for s in CanonicalTarget("cluster", n).stabilizer_strings():
         assert pauli_string_expectation(psi, s) == pytest.approx(1.0,
                                                                  abs=1e-12)
@@ -108,7 +103,7 @@ def test_parity_beyond_dense_cap(n):
 def test_product_expectation_matches_dense():
     cfg = ProtocolConfig("cluster", 4)
     rs = np.random.default_rng(8)
-    psi = framed(cfg).photon_register()
+    psi = dense_run(cfg).photon_register()
     for _ in range(5):
         labels = rs.choice(["I", "X", "Y", "Z"], size=4)
         want = pauli_string_expectation(psi, "".join(labels))
