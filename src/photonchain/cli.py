@@ -56,33 +56,32 @@ def _outdir(args) -> Path:
 # ---------------------------------------------------------------------------
 # simulate
 
+# simulate flag -> (config section, field) it overrides
+_OVERRIDES = {
+    "kind": ("protocol", "kind"), "n": ("protocol", "n_photons"),
+    "measurement": ("measurement", "preset"),
+    "phi_points": ("measurement", "phi_points"),
+    "shots": ("execution", "shots"), "seed": ("execution", "seed"),
+    "threads": ("execution", "threads"),
+    "duration": ("execution", "duration"),
+}
+
+
 def _merged_config(args) -> pio.RunConfig:
     if args.config:
         cfg = pio.load_config(args.config)
+    elif args.kind:
+        cfg = pio.parse_config({"kind": args.kind})
     else:
-        if not args.kind:
-            raise pio.ConfigError("either --config or --kind is required")
-        cfg = pio.parse_config({"kind": args.kind, "n_photons": args.n})
-    proto, meas, execu = cfg.protocol, cfg.measurement, cfg.execution
-    if args.config and args.kind:
-        proto = replace(proto, kind=args.kind)
-    if args.config and args.n is not None:
-        proto = replace(proto, n_photons=args.n)
-    if args.measurement:
-        meas = replace(meas, preset=args.measurement)
-    if args.phi_points:
-        meas = replace(meas, phi_points=args.phi_points)
-    over = {}
-    for name in ("shots", "seed", "threads", "duration"):
-        v = getattr(args, name)
-        if v is not None:
-            over[name] = v
-    if over:
-        execu = replace(execu, **over)
-    noise = cfg.noise
-    if args.noiseless:
-        noise = NoiseConfig()
-    return pio.RunConfig(proto, noise, meas, execu)
+        raise pio.ConfigError("either --config or --kind is required")
+    parts = {"protocol": cfg.protocol,
+             "noise": NoiseConfig() if args.noiseless else cfg.noise,
+             "measurement": cfg.measurement, "execution": cfg.execution}
+    for flag, (section, name) in _OVERRIDES.items():
+        value = getattr(args, flag)
+        if value is not None:
+            parts[section] = replace(parts[section], **{name: value})
+    return pio.RunConfig(**parts)
 
 
 def simulate(cfg: pio.RunConfig, path: Path) -> list:
@@ -211,10 +210,21 @@ def cmd_analyze(args) -> int:
         header, batches = pio.read_records(path, expect_hash=expect)
         per_n.setdefault(header["n"], []).extend(batches)
     summary = summarize(per_n)
+    for n in per_n:
+        if len(summary[f"n{n}"]) == 1:     # only its photon count
+            raise an.InsufficientDataError(
+                f"the records for N={n} support no estimator")
 
     if args.counts:
-        rows = np.genfromtxt(args.counts, delimiter=",", names=True)
-        fit = an.rate_fit(np.atleast_1d(rows["counts"]), args.duration,
+        rows = np.atleast_1d(
+            np.genfromtxt(args.counts, delimiter=",", names=True))
+        # the file's own duration, from its first non-zero order
+        hit = rows[rows["counts"] > 0]
+        if len(hit) == 0:
+            raise an.InsufficientDataError("the counts file holds no "
+                                           "coincidences")
+        fit = an.rate_fit(rows["counts"],
+                          hit["counts"][0] / hit["rate_per_s"][0],
                           eta_detection=args.eta_d)
         summary["rate"] = {
             "eta": fit.eta,
@@ -362,8 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana = sub.add_parser("analyze", help="estimate figures of merit")
     ana.add_argument("--records", nargs="*", help="records files")
     ana.add_argument("--counts", help="rate-mode counts file")
-    ana.add_argument("--duration", type=float, default=3600.0,
-                     help="simulated duration of the counts file")
     ana.add_argument("--eta-d", type=float, default=1.0, dest="eta_d",
                      help="detection efficiency for loss correction")
     ana.add_argument("--config",

@@ -72,71 +72,46 @@ class RecordBatch:
         )
 
 
-def _field_deltas(noise, seed, shots):
-    """Per-shot quasi-static field offsets (None in other modes)."""
-    if noise.b_sigma == 0.0 or noise.b_model != "quasi-static":
-        return None
-    return noise.b_sigma * crng.normal(seed, shots, crng.FIELD_DRAW)
-
-
-def _simulate_chunk(sched: PulseSchedule, ops: tuple, noise: NoiseConfig,
-                    bases, seed: int, lo: int, hi: int,
-                    abort_on_loss: bool) -> RecordBatch:
-    shots = np.arange(lo, hi, dtype=np.uint64)
-    size = hi - lo
-    n = sched.n_photons
+def _simulate_chunk(ops: tuple, n_att: int, noise: NoiseConfig, seed: int,
+                    out: RecordBatch, a: int, b: int,
+                    abort_on_loss: bool) -> None:
+    """Evolve the shots of rows ``a .. b-1`` of ``out`` and write their
+    records into those rows."""
+    shots = out.run_ids[a:b].astype(np.uint64)
+    detected, outcomes = out.detected[a:b], out.outcomes[a:b]
+    deltas = out.deltas[a:b]
     eta = noise.eta
 
-    detected = np.zeros((size, n), dtype=bool)
-    outcomes = np.zeros((size, n), dtype=np.int8)
-
     # first-photon retry loop, truncated at max_first_attempts
-    n_att = sched.max_first_attempts
-    if n_att > crng.FIELD_DRAW:
-        raise ValueError("max_first_attempts exceeds the reserved draw block")
-    att_u = np.stack([crng.uniform(seed, shots, crng.FIRST_ATTEMPT_BASE + j)
-                      for j in range(n_att)], axis=1)
-    att_hit = att_u < eta
+    att_hit = np.stack([crng.uniform(seed, shots, crng.FIRST_ATTEMPT_BASE + j)
+                        for j in range(n_att)], axis=1) < eta
     any_hit = att_hit.any(axis=1)
-    attempts = np.where(any_hit, att_hit.argmax(axis=1) + 1, n_att)
-    attempts = attempts.astype(np.int16)
+    out.attempts[a:b] = np.where(any_hit, att_hit.argmax(axis=1) + 1, n_att)
 
+    # the recorded offset: the quasi-static sample, or the cycle-0 one
     per_cycle = noise.b_sigma > 0.0 and noise.b_model == "per-cycle"
-    delta_static = _field_deltas(noise, seed, shots)
-    if delta_static is not None:
-        deltas_out = delta_static
-    elif per_cycle:
-        deltas_out = noise.b_sigma * crng.normal(
-            seed, shots, crng.slot_draw(0, crng.SLOT_FIELD))
-    else:
-        deltas_out = np.zeros(size)
+    if noise.b_sigma > 0.0:
+        deltas[:] = noise.b_sigma * crng.normal(
+            seed, shots, crng.slot_draw(0, crng.SLOT_FIELD) if per_cycle
+            else crng.FIELD_DRAW)
 
     # void shots (no first photon in n_att attempts) never enter the
     # cycling stage; drop them from state evolution right away
     cur = np.flatnonzero(any_hit)
     amps = np.zeros((len(cur), 8), dtype=complex)
 
-    def cur_shots():
-        return shots[cur]
-
-    def cur_delta(cycle):
-        # per-cycle draws are counter-addressed, so they can be generated
-        # lazily for just the still-active shots
-        if per_cycle:
-            return noise.b_sigma * crng.normal(
-                seed, shots[cur], crng.slot_draw(cycle, crng.SLOT_FIELD))
-        if delta_static is not None:
-            return delta_static[cur]
-        return None
-
     for op in ops:
         if len(cur) == 0:
             break
         if isinstance(op, PrecessOp):
-            d = cur_delta(op.cycle)
+            # per-cycle samples are drawn for the still-active shots only;
             # without a field offset the co-rotating frame has no phase
-            if op.lab_frame or d is not None:
-                amps *= op.phases(np.zeros(len(cur)) if d is None else d)
+            if per_cycle:
+                amps *= op.phases(noise.b_sigma * crng.normal(
+                    seed, shots[cur],
+                    crng.slot_draw(op.cycle, crng.SLOT_FIELD)))
+            elif op.lab_frame or noise.b_sigma > 0.0:
+                amps *= op.phases(deltas[cur])
 
         elif isinstance(op, PumpOp):
             amps[:] = 0.0
@@ -145,13 +120,10 @@ def _simulate_chunk(sched: PulseSchedule, ops: tuple, noise: NoiseConfig,
         elif isinstance(op, PulseOp):
             for (ia, ib, theta, phase, draw) in op.pulses:
                 if noise.raman_sigma > 0.0:
-                    th = theta + noise.raman_sigma * crng.normal(
-                        seed, cur_shots(), draw)
-                    c = np.cos(th / 2.0)
-                    s = -1j * np.sin(th / 2.0)
-                else:
-                    c = np.cos(theta / 2.0)
-                    s = -1j * np.sin(theta / 2.0)
+                    theta = theta + noise.raman_sigma * crng.normal(
+                        seed, shots[cur], draw)
+                c = np.cos(theta / 2.0)
+                s = -1j * np.sin(theta / 2.0)
                 ep = np.exp(1j * phase)
                 va = amps[:, ia].copy()
                 vb = amps[:, ib]
@@ -160,11 +132,11 @@ def _simulate_chunk(sched: PulseSchedule, ops: tuple, noise: NoiseConfig,
 
         elif isinstance(op, ScatterOp):
             if noise.closing_scatter_p > 0.0:
-                u = crng.uniform(seed, cur_shots(), crng.SCATTER_DECISION)
+                u = crng.uniform(seed, shots[cur], crng.SCATTER_DECISION)
                 hit = u < noise.closing_scatter_p
                 if np.any(hit):
-                    u1 = crng.uniform(seed, cur_shots()[hit], crng.SCATTER_POP)
-                    u2 = crng.uniform(seed, cur_shots()[hit],
+                    u1 = crng.uniform(seed, shots[cur[hit]], crng.SCATTER_POP)
+                    u2 = crng.uniform(seed, shots[cur[hit]],
                                       crng.SCATTER_PHASE)
                     amps[hit] = 0.0
                     amps[hit, _SCAT_A] = np.sqrt(u1)
@@ -173,63 +145,49 @@ def _simulate_chunk(sched: PulseSchedule, ops: tuple, noise: NoiseConfig,
 
         elif isinstance(op, EmitOp):
             slot = op.slot
-            dom = op.domain
-            sub = amps[:, dom]
+            sub = amps[:, op.domain]
             p_emit = np.sum(np.abs(sub) ** 2, axis=1)
             joint = (sub @ op.vdom.T).reshape(-1, 8, 2)
 
             if slot == 0:
-                det = np.ones(len(cur), dtype=bool)
-                emitted = det
+                det = emitted = np.ones(len(cur), dtype=bool)
             else:
-                u = crng.uniform(seed, cur_shots(),
+                u = crng.uniform(seed, shots[cur],
                                  crng.slot_draw(slot, crng.SLOT_DETECT))
                 det = u < p_emit * eta
                 emitted = u < p_emit
-
-            u_o = crng.uniform(seed, cur_shots(),
+            u_o = crng.uniform(seed, shots[cur],
                                crng.slot_draw(slot, crng.SLOT_OUTCOME))
 
-            # collapse in the plan basis (detected shots); the joint state
-            # already carries the slot's measurement frame
-            bp = bases[slot].plus_state().conj()
-            bm = bases[slot].minus_state().conj()
-            a_plus = joint @ bp
-            a_minus = joint @ bm
-            p_plus = np.sum(np.abs(a_plus) ** 2, axis=1)
-            take_plus = u_o * p_emit < p_plus
-
-            # fictitious Z collapse (emitted but lost shots)
-            pz = np.sum(np.abs(joint[:, :, 0]) ** 2, axis=1)
-            take_r = u_o * p_emit < pz
-
-            branch_plus = np.where(det[:, None], a_plus, joint[:, :, 0])
-            branch_minus = np.where(det[:, None], a_minus, joint[:, :, 1])
-            sel_plus = np.where(det, take_plus, take_r)
-
-            chosen = np.where(sel_plus[:, None], branch_plus, branch_minus)
+            # a detected photon collapses in the plan basis (the joint
+            # state already carries the slot's measurement frame), an
+            # emitted but lost one in Z
+            basis = out.bases[slot]
+            a_plus = np.where(det[:, None], joint @ basis.plus_state().conj(),
+                              joint[:, :, 0])
+            a_minus = np.where(det[:, None],
+                               joint @ basis.minus_state().conj(),
+                               joint[:, :, 1])
+            plus = u_o * p_emit < np.sum(np.abs(a_plus) ** 2, axis=1)
+            chosen = np.where(plus[:, None], a_plus, a_minus)
             nrm = np.linalg.norm(chosen, axis=1)
-            collapsed = chosen / np.where(nrm > 0, nrm, 1.0)[:, None]
+            chosen /= np.where(nrm > 0, nrm, 1.0)[:, None]
 
-            # not emitted: project onto the out-of-domain remainder
-            if np.any(~emitted):
-                res = amps.copy()
-                res[:, dom] = 0.0
-                rn = np.sqrt(np.maximum(1.0 - p_emit, 1e-300))
-                res = res / rn[:, None]
-                new_amps = np.where(emitted[:, None], collapsed, res)
-            else:
-                new_amps = collapsed
-            amps = new_amps
+            # not emitted: the out-of-domain remainder, renormalised
+            stay = ~emitted
+            if np.any(stay):
+                rest = amps[stay]
+                rest[:, op.domain] = 0.0
+                chosen[stay] = rest / np.sqrt(
+                    np.maximum(1.0 - p_emit[stay], 1e-300))[:, None]
+            amps = chosen
 
             detected[cur, slot] = det
-            sign = np.where(sel_plus, 1, -1).astype(np.int8)
-            outcomes[cur, slot] = np.where(det, sign, 0)
+            outcomes[cur, slot] = np.where(det, np.where(plus, 1, -1), 0)
 
             if abort_on_loss:
-                keep = det
-                cur = cur[keep]
-                amps = amps[keep]
+                cur = cur[det]
+                amps = amps[det]
 
     if len(cur):
         norms = np.linalg.norm(amps, axis=1)
@@ -237,15 +195,42 @@ def _simulate_chunk(sched: PulseSchedule, ops: tuple, noise: NoiseConfig,
             raise NumericalIntegrityError(
                 f"state norm drifted to {norms[np.argmax(np.abs(norms-1))]}")
 
-    return RecordBatch(
-        bases=tuple(bases),
-        detected=detected,
-        outcomes=outcomes,
-        attempts=attempts,
-        deltas=deltas_out,
-        run_ids=np.arange(lo, hi, dtype=np.int64),
-        period=run_period(sched),
-    )
+
+def _run_range(cfg, noise: NoiseConfig, basis_plan, seed: int, lo: int,
+               hi: int, threads: int, abort_on_loss: bool,
+               flip_f2_sign: bool) -> RecordBatch:
+    """The records of shots ``lo .. hi-1``: one batch, preallocated and
+    filled in place chunk by chunk (at criterion-scale shot counts, tens
+    of millions, batches per chunk would transiently hold two copies)."""
+    sched = cfg if isinstance(cfg, PulseSchedule) else build_schedule(cfg)
+    n = sched.n_photons
+    if len(basis_plan) != n:
+        raise ValueError(
+            f"basis plan has {len(basis_plan)} entries for {n} photons")
+    if hi <= lo:
+        raise ValueError("shots must be >= 1")
+    n_att = sched.max_first_attempts
+    if n_att > crng.FIELD_DRAW:
+        raise ValueError("max_first_attempts exceeds the reserved draw block")
+    ops = compile_schedule(sched, flip_f2_sign)
+    size = hi - lo
+    out = RecordBatch(tuple(basis_plan), np.zeros((size, n), dtype=bool),
+                      np.zeros((size, n), dtype=np.int8),
+                      np.empty(size, dtype=np.int16), np.zeros(size),
+                      np.arange(lo, hi, dtype=np.int64), run_period(sched))
+
+    def work(a):
+        _simulate_chunk(ops, n_att, noise, seed, out, a,
+                        min(a + CHUNK, size), abort_on_loss)
+
+    starts = range(0, size, CHUNK)
+    if threads > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            list(ex.map(work, starts))
+    else:
+        for a in starts:
+            work(a)
+    return out
 
 
 def run_batch(cfg, noise: NoiseConfig, basis_plan, shots: int, seed: int,
@@ -258,56 +243,16 @@ def run_batch(cfg, noise: NoiseConfig, basis_plan, shots: int, seed: int,
     at its first undetected photon (valid whenever the downstream analysis
     post-selects on full detection; later slots stay unmeasured).
     """
-    sched = cfg if isinstance(cfg, PulseSchedule) else build_schedule(cfg)
-    if len(basis_plan) != sched.n_photons:
-        raise ValueError(
-            f"basis plan has {len(basis_plan)} entries for "
-            f"{sched.n_photons} photons")
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    ops = compile_schedule(sched, flip_f2_sign)
-    ranges = [(lo, min(lo + CHUNK, shots)) for lo in range(0, shots, CHUNK)]
-
-    # preallocate the full batch and let each chunk fill its slice: at
-    # criterion-scale shot counts (tens of millions), accumulating chunk
-    # batches and concatenating would transiently hold several copies
-    n = sched.n_photons
-    detected = np.empty((shots, n), dtype=bool)
-    outcomes = np.empty((shots, n), dtype=np.int8)
-    attempts = np.empty(shots, dtype=np.int16)
-    deltas = np.empty(shots, dtype=np.float64)
-    run_ids = np.empty(shots, dtype=np.int64)
-
-    def work(rg):
-        lo, hi = rg
-        c = _simulate_chunk(sched, ops, noise, basis_plan, seed, lo, hi,
-                            abort_on_loss)
-        detected[lo:hi] = c.detected
-        outcomes[lo:hi] = c.outcomes
-        attempts[lo:hi] = c.attempts
-        deltas[lo:hi] = c.deltas
-        run_ids[lo:hi] = c.run_ids
-        return c.bases, c.period
-
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            meta = list(ex.map(work, ranges))
-    else:
-        meta = [work(rg) for rg in ranges]
-
-    bases, period = meta[0]
-    return RecordBatch(bases, detected, outcomes, attempts, deltas,
-                       run_ids, period)
+    return _run_range(cfg, noise, basis_plan, seed, 0, shots, threads,
+                      abort_on_loss, flip_f2_sign)
 
 
 def run_shot(schedule, noise: NoiseConfig, bases, seed: int,
              shot_index: int = 0) -> RecordBatch:
     """Single shot, drawn from the stream (seed, shot_index), as a one-row
     batch equal to row ``shot_index`` of :func:`run_batch`."""
-    sched = schedule if isinstance(schedule, PulseSchedule) \
-        else build_schedule(schedule)
-    return _simulate_chunk(sched, compile_schedule(sched), noise, bases,
-                           seed, shot_index, shot_index + 1, False)
+    return _run_range(schedule, noise, bases, seed, shot_index,
+                      shot_index + 1, 1, False, True)
 
 
 def run_plans(cfg, noise: NoiseConfig, plans, shots: int, seed: int,

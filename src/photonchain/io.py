@@ -130,11 +130,6 @@ def _number(value) -> float:
     return float(value)
 
 
-def _chain_link(entry) -> tuple[str, float]:
-    name, p = entry
-    return str(name), _number(p)
-
-
 def _list(section: dict, key: str, item) -> tuple:
     """The list ``section[key]`` converted item by item."""
     value = section[key]
@@ -205,9 +200,6 @@ def parse_config(data) -> RunConfig:
             raise ConfigError("protocol.timings must be a JSON object")
         proto["timings"] = _build_section(TimingTable, proto["timings"],
                                           "protocol.timings")
-    if "detection_chain" in noise_d:
-        noise_d["detection_chain"] = _list(noise_d, "detection_chain",
-                                           _chain_link)
     if "bases" in meas_d:
         meas_d["bases"] = _list(meas_d, "bases", str)
     return RunConfig(_build_section(ProtocolConfig, proto, "protocol"),

@@ -5,8 +5,7 @@
 
 * ``eta0``, ``eta_d`` — photon loss, one Bernoulli trial per photon with
   success probability eta0 * eta_d (losses commute with polarization
-  measurement, so the detection-chain breakdown is reporting metadata
-  only);
+  measurement, so only the product matters to the engine);
 * ``raman_sigma`` — a coherent angle error theta -> theta + eps,
   eps ~ N(0, raman_sigma), on every Raman pulse;
 * ``closing_scatter_p`` — the probability that the closing qubit is
@@ -31,7 +30,6 @@ from .levels import OMEGA_L
 class NoiseConfig:
     eta0: float = 1.0                 # source efficiency
     eta_d: float = 1.0                # detection efficiency
-    detection_chain: tuple[tuple[str, float], ...] = ()
     raman_sigma: float = 0.0          # rad, std dev of the angle error
     closing_scatter_p: float = 0.0
     b_sigma: float = 0.0              # fractional Larmor-frequency std dev
@@ -46,27 +44,11 @@ class NoiseConfig:
             raise ValueError("noise widths must be non-negative")
         if self.b_model not in ("quasi-static", "per-cycle"):
             raise ValueError(f"unknown b_model {self.b_model!r}")
-        if self.detection_chain:
-            prod = math.prod(p for _, p in self.detection_chain)
-            if abs(prod - self.eta_d) > 1e-9:
-                raise ValueError(
-                    f"detection_chain product {prod} != eta_d {self.eta_d}")
 
     @property
     def eta(self) -> float:
         """Per-photon generation-and-detection probability."""
         return self.eta0 * self.eta_d
-
-
-# Loss budget quoted for the experiment's detection path; the product is
-# the eta_d = 0.7 operating point.
-REFERENCE_DETECTION_CHAIN = (
-    ("fiber_coupling_1", 0.94),
-    ("fiber_coupling_2", 0.94),
-    ("fiber_propagation", 0.97),
-    ("free_space_optics", 0.90),
-    ("detector", 0.90),
-)
 
 
 def raman_sigma_for_infidelity(infidelity: float) -> float:

@@ -55,7 +55,6 @@ class TimingTable:
 
     pump: float = 5e-6
     vstirap_control: float = 1.5e-6
-    photon_fwhm: float = 300e-9          # metadata only
     pi_11_to_20: float = 53e-6
     qubit_gate_total: float = 132.5e-6
     transfer_to_f2_each: float = 21e-6
@@ -66,7 +65,7 @@ class TimingTable:
     overhead: float = 300e-6             # calibration + cooling per run
 
     def __post_init__(self):
-        for name in ("pump", "vstirap_control", "photon_fwhm", "pi_11_to_20",
+        for name in ("pump", "vstirap_control", "pi_11_to_20",
                      "qubit_gate_total", "transfer_to_f2_each",
                      "closing_transfer", "cycle_ghz", "cycle_cluster",
                      "cycle_dd"):

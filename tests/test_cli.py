@@ -3,6 +3,7 @@
 import json
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from photonchain.cli import main, operating_noise
@@ -56,11 +57,15 @@ def test_rate_mode_and_counts_analysis(tmp_path):
                 "--duration", "600", "--seed", "3",
                 "--outdir", out, "--out", "counts.csv"]) == 0
     assert run(["analyze", "--counts", f"{out}/counts.csv",
-                "--duration", "600", "--eta-d", "1.0",
+                "--eta-d", "1.0",
                 "--outdir", out, "--out", "rate.json"]) == 0
     summary = json.loads((tmp_path / "rate.json").read_text())
     # noiseless: every attempt succeeds
     assert summary["rate"]["eta"]["value"] == pytest.approx(1.0, abs=1e-6)
+    # the rates are read at the file's own 600 s, not at a default
+    rows = np.genfromtxt(tmp_path / "counts.csv", delimiter=",", names=True)
+    assert summary["rate"]["rates_per_s"] == pytest.approx(
+        list(rows["rate_per_s"]), rel=1e-12)
 
 
 def test_config_file_and_hash_guard(tmp_path):
@@ -89,6 +94,39 @@ def test_invalid_usage_exit_codes(tmp_path):
     assert run(["analyze", "--outdir", out]) == 2            # nothing given
     assert run(["analyze", "--records", f"{out}/missing.csv",
                 "--outdir", out]) == 3
+
+
+def test_phi_points_below_two_exit_code(tmp_path, capsys):
+    # 0 is an override like any other value, not "flag not given"
+    for points in ("0", "1"):
+        assert run(["simulate", "--kind", "ghz", "--n", "2", "--shots", "10",
+                    "--measurement", "parity-grid", "--phi-points", points,
+                    "--outdir", str(tmp_path)]) == 2
+        assert "phi grid" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("keep", ["header", "custom"])
+def test_no_estimator_exit_code(tmp_path, capsys, keep):
+    # a records file without rows, or holding only a custom plan, gives
+    # its photon number no estimate
+    out = str(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "protocol": {"kind": "ghz", "n_photons": 3},
+        "measurement": {"preset": "custom", "bases": ["Z", "X", "X"]},
+        "execution": {"shots": 50, "seed": 1}}))
+    assert run(["simulate", "--config", str(cfg), "--noiseless",
+                "--outdir", out, "--out", "r.csv"]) == 0
+    path = tmp_path / "r.csv"
+    if keep == "header":
+        path.write_text("".join(path.read_text().splitlines(True)[:2]))
+    capsys.readouterr()
+    assert run(["analyze", "--records", str(path), "--outdir", out]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "N=3" in err
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):

@@ -107,18 +107,25 @@ def test_determinism_with_noise():
 
 
 def test_run_shot_matches_batch_row():
-    noise = NoiseConfig(eta0=0.8, raman_sigma=0.05, b_sigma=5e-4)
     cfg = ProtocolConfig("ghz", 3)
     bases = [MeasBasis.x()] * 3
-    batch = run_batch(cfg, noise, bases, 50, seed=21)
-    for i in (0, 17, 49):
-        single = run_shot(cfg, noise, bases, seed=21, shot_index=i)
-        assert single.n_shots == 1
-        assert single.bases == batch.bases
-        assert single.period == batch.period
-        for col in ("detected", "outcomes", "attempts", "deltas", "run_ids"):
-            assert np.array_equal(getattr(single, col),
-                                  getattr(batch, col)[i:i + 1])
+    per_cycle = NoiseConfig(eta0=0.8, raman_sigma=0.05, closing_scatter_p=0.3,
+                            b_sigma=5e-4, b_model="per-cycle")
+    for noise, shots, rows in (
+            (NoiseConfig(eta0=0.8, raman_sigma=0.05, b_sigma=5e-4), 50,
+             (0, 17, 49)),
+            # rows on both sides of a chunk border
+            (per_cycle, CHUNK + 2, (CHUNK - 1, CHUNK, CHUNK + 1))):
+        batch = run_batch(cfg, noise, bases, shots, seed=21)
+        for i in rows:
+            single = run_shot(cfg, noise, bases, seed=21, shot_index=i)
+            assert single.n_shots == 1
+            assert single.bases == batch.bases
+            assert single.period == batch.period
+            for col in ("detected", "outcomes", "attempts", "deltas",
+                        "run_ids"):
+                assert np.array_equal(getattr(single, col),
+                                      getattr(batch, col)[i:i + 1])
 
 
 def test_first_photon_retry_distribution():
@@ -175,6 +182,9 @@ def test_basis_plan_length_checked():
     with pytest.raises(ValueError):
         run_batch(ProtocolConfig("ghz", 3), NOISELESS,
                   [MeasBasis.z()] * 2, 10, seed=0)
+    with pytest.raises(ValueError, match="basis plan"):
+        run_shot(ProtocolConfig("ghz", 3), NOISELESS,
+                 [MeasBasis.z()] * 2, seed=0, shot_index=4)
 
 
 def test_scatter_only_hurts_closing_qubit():

@@ -7,7 +7,6 @@ import pytest
 from photonchain.engine import run_batch
 from photonchain.levels import MeasBasis
 from photonchain.noise import (
-    REFERENCE_DETECTION_CHAIN,
     NoiseConfig,
     calibrate_field,
     coherence_envelope,
@@ -37,15 +36,6 @@ def test_validation():
         NoiseConfig(raman_sigma=-0.1)
     with pytest.raises(ValueError):
         NoiseConfig(b_model="fast")
-    with pytest.raises(ValueError):
-        NoiseConfig(eta_d=0.5, detection_chain=(("a", 0.9), ("b", 0.9)))
-    NoiseConfig(eta_d=0.81, detection_chain=(("a", 0.9), ("b", 0.9)))
-
-
-def test_reference_chain_consistent():
-    prod = float(np.prod([p for _, p in REFERENCE_DETECTION_CHAIN]))
-    NoiseConfig(eta_d=prod, detection_chain=REFERENCE_DETECTION_CHAIN)
-    assert abs(prod - 0.7) < 0.01
 
 
 def test_raman_sigma_for_one_percent():
