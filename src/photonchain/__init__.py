@@ -46,7 +46,7 @@ from .io import (
 )
 from .levels import MeasBasis, Sublevel
 from .noise import NoiseConfig, calibrate_field, coherence_envelope
-from .oracle import CanonicalTarget, dense_run, fidelity, local_frame_fit
+from .oracle import CanonicalTarget, dense_run, fidelity
 from .schedule import (
     ProtocolConfig,
     PulseSchedule,
@@ -68,7 +68,7 @@ __all__ = [
     "calibrate_field", "cluster_witness", "coherence_envelope",
     "coherence_probe", "dd_scan", "decay_fit", "dense_run", "fidelity",
     "fit_coherence", "ghz_fidelity", "ghz_witness", "load_config",
-    "local_frame_fit", "parity", "parity_curve", "parity_visibility_run",
+    "parity", "parity_curve", "parity_visibility_run",
     "parse_config", "populations", "rate_benchmark", "rate_fit",
     "read_records", "run_batch", "run_shot", "stabilizers",
     "write_records", "write_summary",

@@ -15,7 +15,6 @@ the bound statistically valid in the presence of correlations.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,14 +54,6 @@ class ParityCurve:
     @property
     def phis(self) -> np.ndarray:
         return np.array([p for p, _ in self.points])
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([e.value for _, e in self.points])
-
-    @property
-    def stderrs(self) -> np.ndarray:
-        return np.array([e.stderr for _, e in self.points])
 
 
 @dataclass(frozen=True)
@@ -144,30 +135,39 @@ def parity_curve(groups) -> ParityCurve:
                              for phi, records in groups))
 
 
+def _weighted_lsq(x: np.ndarray, estimates, degenerate: str = "") -> tuple:
+    """Weighted least-squares coefficients of the columns of ``x`` for
+    the estimates' values, and their covariance.  Weights are 1/stderr^2,
+    the variance floored at 1/n_events^2 so exact (zero-stderr) points
+    stay finite; an ill-conditioned fit raises ``FitError(degenerate)``
+    when a message is given."""
+    y = np.array([e.value for e in estimates])
+    sig = np.array([e.stderr for e in estimates])
+    nev = np.array([e.n_events for e in estimates], dtype=float)
+    var = np.maximum(sig ** 2, 1.0 / np.maximum(nev, 1.0) ** 2)
+    w = 1.0 / var
+    xtw = x.T * w
+    gram = xtw @ x
+    if degenerate and np.linalg.cond(gram) > 1e12:
+        raise FitError(degenerate)
+    cov = np.linalg.inv(gram)
+    return cov @ (xtw @ y), cov
+
+
 def fit_coherence(curve: ParityCurve, n_photons: int) -> CoherenceFit:
     """Visibility of the parity oscillation from a fixed-frequency fit.
 
-    Linear least squares of a*cos(N phi) + b*sin(N phi); the amplitude
+    Weighted least squares of a*cos(N phi) + b*sin(N phi); the amplitude
     A = sqrt(a^2 + b^2) is the coherence C_N and delta = atan2(-b, a)
     the (diagnostic) phase offset.
     """
     phis = curve.phis
     if len(phis) < 8:
         raise FitError("need at least 8 phi points spanning [0, pi]")
-    y = curve.values
-    sig = curve.stderrs
-    # exact (noiseless) points have zero stderr; floor the variance at a
-    # per-event scale so weights stay finite
-    nev = np.array([e.n_events for _, e in curve.points], dtype=float)
-    var = np.maximum(sig ** 2, 1.0 / np.maximum(nev, 1.0) ** 2)
-    w = 1.0 / var
+    ests = [e for _, e in curve.points]
     x = np.vstack([np.cos(n_photons * phis), np.sin(n_photons * phis)]).T
-    xtw = x.T * w
-    gram = xtw @ x
-    if np.linalg.cond(gram) > 1e12:
-        raise FitError("degenerate phi grid for the requested frequency")
-    cov = np.linalg.inv(gram)
-    a, b = cov @ (xtw @ y)
+    (a, b), cov = _weighted_lsq(
+        x, ests, "degenerate phi grid for the requested frequency")
     amp = float(np.hypot(a, b))
     if amp > 0:
         grad = np.array([a, b]) / amp
@@ -175,7 +175,8 @@ def fit_coherence(curve: ParityCurve, n_photons: int) -> CoherenceFit:
     else:
         se = float(np.sqrt(np.trace(cov)))
     phase = float(np.arctan2(-b, a))
-    return CoherenceFit(Estimate(amp, se, int(nev.sum())), phase)
+    return CoherenceFit(Estimate(amp, se, sum(e.n_events for e in ests)),
+                        phase)
 
 
 def ghz_fidelity(p: Estimate, c: Estimate) -> Estimate:
@@ -350,30 +351,29 @@ class RateFit:
 
 
 def rate_fit(counts, duration: float, eta_detection: float = 1.0) -> RateFit:
-    """Exponential fit of coincidence counts vs N.
+    """Per-photon efficiency from coincidence counts vs N.
 
-    Weighted least squares of log(counts) against N with Poisson weights
-    (var log c ~ 1/c); the slope exponential is the per-photon efficiency
-    eta.  Zero-count orders are dropped with a warning.
+    ``counts[k]`` counts the runs whose photons 1 .. k+1 were all
+    detected, so the counts form a binomial chain, count_{k+1} ~
+    Bin(count_k, eta).  Its maximum-likelihood estimate is
+    eta = sum_k count_{k+1} / sum_k count_k (k < N), with the binomial
+    stderr sqrt(eta (1 - eta) / sum_k count_k); zero counts enter like
+    any other.  The loss-corrected rates divide eta_detection^N out of
+    counts / duration, and eta_detection must lie in (0, 1].
     """
+    if not 0.0 < eta_detection <= 1.0:
+        raise ValueError(f"eta_detection {eta_detection} outside (0, 1]")
     counts = np.asarray(counts, dtype=float)
-    ns = np.arange(1, len(counts) + 1, dtype=float)
-    good = counts > 0
-    if np.any(~good):
-        warnings.warn(f"dropping {int((~good).sum())} zero-count orders "
-                      "from the rate fit", stacklevel=2)
-    ns_f, c_f = ns[good], counts[good]
-    if len(c_f) < 3:
-        raise FitError("need at least 3 non-zero coincidence orders")
-    y = np.log(c_f)
-    w = c_f                       # 1 / var(log c)
-    x = np.vstack([np.ones_like(ns_f), ns_f]).T
-    xtw = x.T * w
-    cov = np.linalg.inv(xtw @ x)
-    coef = cov @ (xtw @ y)
-    slope, var_slope = coef[1], cov[1, 1]
-    eta = float(np.exp(slope))
-    se = float(eta * np.sqrt(var_slope))
+    if len(counts) < 3:
+        raise FitError("need at least 3 coincidence orders")
+    if not (counts[0] > 0 and counts[-1] >= 0
+            and np.all(np.diff(counts) <= 0)):
+        raise FitError("coincidence counts must fall with N from a "
+                       "non-zero first order")
+    trials = float(counts[:-1].sum())
+    eta = float(counts[1:].sum() / trials)
+    se = float(np.sqrt(eta * (1.0 - eta) / trials))
+    ns = np.arange(1, len(counts) + 1)
     rates = counts / duration
     corrected = rates / eta_detection ** ns
     return RateFit(Estimate(eta, se, int(counts.sum())),
@@ -398,18 +398,11 @@ def decay_fit(n_values, estimates) -> DecayFit:
     ns = np.asarray(n_values, dtype=float)
     if len(ns) < 3:
         raise FitError("need at least 3 points for a decay fit")
-    y = np.array([e.value for e in estimates])
-    sig = np.array([e.stderr for e in estimates])
-    nev = np.array([max(e.n_events, 1) for e in estimates], dtype=float)
-    var = np.maximum(sig ** 2, 1.0 / nev ** 2)
-    w = 1.0 / var
     x = np.vstack([np.ones_like(ns), -ns]).T
-    xtw = x.T * w
-    cov = np.linalg.inv(xtw @ x)
-    coef = cov @ (xtw @ y)
+    coef, cov = _weighted_lsq(x, estimates)
     intercept, slope = float(coef[0]), float(coef[1])
     se_i, se_s = float(np.sqrt(cov[0, 0])), float(np.sqrt(cov[1, 1]))
-    n_tot = int(nev.sum())
+    n_tot = sum(max(e.n_events, 1) for e in estimates)
     if slope <= 0.0:
         crossing = None
     else:

@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--records", nargs="*", help="records files")
     ana.add_argument("--counts", help="rate-mode counts file")
     ana.add_argument("--eta-d", type=float, default=1.0, dest="eta_d",
-                     help="detection efficiency for loss correction")
+                     help="detection efficiency in (0, 1]")
     ana.add_argument("--config",
                      help="config whose hash the records must match")
     ana.add_argument("--out", help="summary file name")

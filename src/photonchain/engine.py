@@ -214,10 +214,14 @@ def _run_range(cfg, noise: NoiseConfig, basis_plan, seed: int, lo: int,
         raise ValueError("max_first_attempts exceeds the reserved draw block")
     ops = compile_schedule(sched, flip_f2_sign)
     size = hi - lo
-    out = RecordBatch(tuple(basis_plan), np.zeros((size, n), dtype=bool),
-                      np.zeros((size, n), dtype=np.int8),
-                      np.empty(size, dtype=np.int16), np.zeros(size),
-                      np.arange(lo, hi, dtype=np.int64), run_period(sched))
+    try:
+        out = RecordBatch(tuple(basis_plan), np.zeros((size, n), dtype=bool),
+                          np.zeros((size, n), dtype=np.int8),
+                          np.empty(size, dtype=np.int16), np.zeros(size),
+                          np.arange(lo, hi, dtype=np.int64), run_period(sched))
+    except MemoryError as exc:
+        raise ValueError(f"records of {size} shots x {n} photons do not fit "
+                         "in memory") from exc
 
     def work(a):
         _simulate_chunk(ops, n_att, noise, seed, out, a,

@@ -34,7 +34,6 @@ PAULI = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 class DenseSizeError(ValueError):
@@ -177,19 +176,6 @@ def dense_run(cfg, delta: float = 0.0,
     return DenseState(amps, n_ph)
 
 
-def apply_frame(state: DenseState, phases) -> DenseState:
-    """Apply per-photon Z-phase frame corrections diag(1, e^{i phi_k})."""
-    amps = state.amps
-    for k, phi in enumerate(phases):
-        if phi == 0.0:
-            continue
-        rz = np.array([1.0, np.exp(1j * phi)])
-        shape = [1] * amps.ndim
-        shape[1 + k] = 2
-        amps = amps * rz.reshape(shape)
-    return DenseState(amps, state.n_photons)
-
-
 def fidelity(state: DenseState, target: CanonicalTarget | np.ndarray) -> float:
     """<target| rho_photons |target> of the photon factor."""
     t = target.vector() if isinstance(target, CanonicalTarget) else np.asarray(target)
@@ -265,109 +251,3 @@ def product_expectation(cfg, slot_ops, delta: float = 0.0,
             p = op.phases(delta)
             x = np.conj(p)[:, None] * x * p[None, :]
     return float(np.real(x[PUMPED, PUMPED]))
-
-
-# ---------------------------------------------------------------------------
-# local measurement-frame search
-
-FRAME_GRID = np.arange(64) * (2.0 * np.pi / 64.0)
-
-
-def _correction_matrix(label: str, alpha: float) -> np.ndarray:
-    rz = np.diag([1.0, np.exp(1j * alpha)])
-    return rz if label == "Z" else HADAMARD @ rz
-
-
-def _snap(alpha: float) -> float:
-    idx = int(np.argmin(np.abs(np.exp(1j * FRAME_GRID)
-                               - np.exp(1j * alpha))))
-    return float(FRAME_GRID[idx])
-
-
-def local_frame_fit(state: DenseState, target: CanonicalTarget | np.ndarray,
-                    max_sweeps: int = 12, n_starts: int = 10):
-    """Search per-qubit corrections maximizing overlap with the target.
-
-    Per qubit the correction is a Z-phase rotation on a 64-point grid,
-    optionally preceded by a Hadamard (identity is Z(0)).  Because the
-    overlap amplitude is linear in each qubit's correction matrix, the
-    best phase for one qubit given all the others has a closed form;
-    coordinate ascent with that exact update converges in a few sweeps.
-    The identity start can sit on a zero plateau (two pending pi flips
-    each leave the overlap at 0), so random restarts are used as well.
-    Returns ``(corrections, residual)``; ``corrections`` is a list of
-    (label, alpha) per qubit.
-    """
-    t = target.vector() if isinstance(target, CanonicalTarget) else np.asarray(target)
-    n = state.n_photons
-    amps = state.amps
-    t_tensor = np.conj(t).reshape((2,) * n)
-    t_h = {k: np.moveaxis(np.tensordot(HADAMARD, t_tensor, axes=(1, k)),
-                          0, k)
-           for k in range(n)}   # H is real, so conj commutes with it
-
-    def overlap(sel):
-        a = amps
-        for k, (label, alpha) in enumerate(sel):
-            u = _correction_matrix(label, alpha)
-            a = np.moveaxis(np.tensordot(u, a, axes=(1, 1 + k)), 0, 1 + k)
-        m = a.reshape(8, -1)
-        return float(np.sum(np.abs(m @ t.conj()) ** 2))
-
-    def best_coordinate(a_others, k, tt):
-        """Optimal alpha and value for U_k = [H.]Z(alpha), others fixed.
-
-        a_others has every correction except qubit k applied.  The
-        amplitude per atom component is c0 + e^{i alpha} c1, so the
-        fidelity is maximized at alpha = -arg(sum conj(c0) c1).
-        """
-        prod = a_others * tt[np.newaxis, ...]
-        axes = tuple(j for j in range(1, n + 1) if j != 1 + k)
-        c = np.sum(prod, axis=axes)          # (8, 2): c0, c1 per atom row
-        s = np.sum(np.conj(c[:, 0]) * c[:, 1])
-        alpha = _snap(-np.angle(s)) if abs(s) > 0 else 0.0
-        base = float(np.sum(np.abs(c) ** 2))
-        val = base + 2.0 * float(np.real(np.exp(1j * alpha) * s))
-        return alpha, val
-
-    def ascend(start):
-        current = list(start)
-        best = overlap(current)
-        for _ in range(max_sweeps):
-            improved = False
-            for k in range(n):
-                a = amps
-                for j, (label, alpha) in enumerate(current):
-                    if j == k:
-                        continue
-                    u = _correction_matrix(label, alpha)
-                    a = np.moveaxis(
-                        np.tensordot(u, a, axes=(1, 1 + j)), 0, 1 + j)
-                az, vz = best_coordinate(a, k, t_tensor)
-                ah, vh = best_coordinate(a, k, t_h[k])
-                label, alpha, val = (("Z", az, vz) if vz >= vh
-                                     else ("HZ", ah, vh))
-                if val > best + 1e-15:
-                    current[k] = (label, alpha)
-                    best = val
-                    improved = True
-            if not improved:
-                break
-        return current, best
-
-    rs = np.random.default_rng(12345)
-    starts = [[("Z", 0.0)] * n]
-    for i in range(n_starts):
-        # Z-only starts first: generic phases give a nonzero gradient
-        # signal without the risk of getting trapped on a Hadamard branch
-        mixed = i >= n_starts // 2
-        starts.append([("HZ" if mixed and rs.random() < 0.5 else "Z",
-                        float(rs.uniform(0, 2 * np.pi))) for _ in range(n)])
-    best_sel, best_val = None, -1.0
-    for start in starts:
-        sel, val = ascend(start)
-        if val > best_val:
-            best_sel, best_val = sel, val
-        if best_val >= 1.0 - 1e-12:
-            break
-    return list(best_sel), 1.0 - best_val

@@ -214,9 +214,9 @@ def frame_phases(kind: str, n_photons: int) -> tuple[float, ...]:
     """Per-photon measurement-frame Z phases.
 
     The cluster protocol's output equals the canonical linear cluster
-    state after a Z correction on the first and last photon (found once
-    with the dense-oracle frame fit and frozen here); the detection frame
-    absorbs it.  All other recipes need no correction.
+    state after a Z correction on the first and last photon, which the
+    detection frame absorbs; ``test_cluster_run_exact_in_frame`` and
+    acceptance criterion 2 pin it.  Other recipes need no correction.
     """
     phases = [0.0] * n_photons
     if kind == CLUSTER and n_photons >= 1:

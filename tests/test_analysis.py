@@ -214,13 +214,32 @@ def test_rate_fit_recovers_eta():
     assert fit.corrected_rates[1] == pytest.approx(fit.rates[1] / 0.49)
 
 
-def test_rate_fit_drops_zero_counts():
-    counts = np.array([1000, 400, 160, 0, 26])
-    with pytest.warns(UserWarning):
-        fit = rate_fit(counts, duration=100.0)
-    assert fit.eta.value == pytest.approx(0.4, abs=0.05)
-    with pytest.raises(FitError):
-        rate_fit([10, 4], duration=1.0)
+def test_rate_fit_keeps_zero_counts():
+    fit = rate_fit([1000, 400, 160, 0, 0], duration=100.0)
+    eta = 560 / 1560
+    assert fit.eta.value == pytest.approx(eta, rel=1e-12)
+    assert fit.eta.stderr == pytest.approx(np.sqrt(eta * (1 - eta) / 1560),
+                                           rel=1e-12)
+    # two orders, rising counts, no first-order coincidences
+    for counts in ([10, 4], [10, 12, 3], [0, 0, 0]):
+        with pytest.raises(FitError):
+            rate_fit(counts, duration=1.0)
+    for eta_d in (0.0, -1.0, float("nan"), 1.5):
+        with pytest.raises(ValueError):
+            rate_fit([10, 4, 1], duration=1.0, eta_detection=eta_d)
+
+
+def test_rate_fit_stderr_matches_spread_of_nested_chains():
+    # one simulated day of 14-fold counting: count_{k+1} ~ Bin(count_k, eta)
+    eta, runs, chains = 0.4318, 78_545_454, 2000
+    rs = np.random.default_rng(17)
+    counts = np.empty((chains, 14), dtype=np.int64)
+    counts[:, 0] = rs.binomial(runs, eta, size=chains)
+    for k in range(1, 14):
+        counts[:, k] = rs.binomial(counts[:, k - 1], eta)
+    fits = [rate_fit(c, duration=runs * 1.1e-3).eta for c in counts]
+    z = np.array([(f.value - eta) / f.stderr for f in fits])
+    assert 0.9 <= z.std() <= 1.1
 
 
 def test_decay_fit_exact_line():

@@ -176,13 +176,34 @@ def test_no_events_exit_code(tmp_path, capsys):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
-def test_degenerate_fit_exit_code(tmp_path):
+def test_degenerate_fit_exit_code(tmp_path, capsys):
     counts = tmp_path / "counts.csv"
-    counts.write_text("n,counts,rate_per_s\n1,40,1.0\n2,3,0.1\n3,0,0.0\n")
-    with pytest.warns(UserWarning, match="zero-count"):
-        code = run(["analyze", "--counts", str(counts),
-                    "--outdir", str(tmp_path)])
-    assert code == 4
+    counts.write_text("n,counts,rate_per_s\n1,40,1.0\n2,3,0.1\n")
+    assert run(["analyze", "--counts", str(counts),
+                "--outdir", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("eta_d", ["0", "-1", "nan", "1.5"])
+def test_eta_d_outside_unit_interval_refused(tmp_path, capsys, eta_d):
+    counts = tmp_path / "counts.csv"
+    counts.write_text("n,counts,rate_per_s\n1,40,1.0\n2,16,0.4\n"
+                      "3,7,0.175\n")
+    assert run(["analyze", "--counts", str(counts), "--eta-d", eta_d,
+                "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_shots_beyond_address_space_refused(tmp_path, capsys):
+    # 10^15 x 2 bytes of flags exceed the address space: the allocation
+    # fails at once, without touching memory
+    assert run(["simulate", "--kind", "ghz", "--n", "2",
+                "--shots", str(10 ** 15), "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_integrity_error_exit_code(tmp_path, monkeypatch):

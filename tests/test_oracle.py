@@ -1,4 +1,5 @@
-"""Dense reference simulator: exact protocol algebra and frame fits."""
+"""Dense reference simulator: exact protocol algebra in the compiled
+measurement frames."""
 
 import numpy as np
 import pytest
@@ -11,13 +12,11 @@ from photonchain.oracle import (
     PAULI,
     CanonicalTarget,
     DenseSizeError,
-    apply_frame,
     basis_observable,
     cluster_state,
     dense_run,
     fidelity,
     ghz_state,
-    local_frame_fit,
     outcome_distribution,
     product_expectation,
     register_distribution,
@@ -163,31 +162,3 @@ def test_echo_needs_manifold_sign_flip():
                            flip_f2_sign=False),
                  CanonicalTarget("ghz", 4))
     assert f < 0.999
-
-
-def test_local_frame_fit_identity_for_ghz():
-    state = dense_run(ProtocolConfig("ghz", 4))
-    corrections, residual = local_frame_fit(state,
-                                            CanonicalTarget("ghz", 4))
-    assert residual < 1e-9
-    assert all(label == "Z" and alpha == 0.0
-               for label, alpha in corrections)
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_local_frame_fit_cluster(n):
-    state = dense_run(ProtocolConfig("cluster", n))
-    corrections, residual = local_frame_fit(state,
-                                            CanonicalTarget("cluster", n))
-    assert residual < 1e-9
-    # equivalent global optima exist (e.g. HZ pairs at N=2), so only the
-    # residual is asserted here; the frozen Z(pi)-ends frame is checked
-    # directly by test_cluster_run_exact_in_frame
-
-
-def test_local_frame_fit_finds_planted_correction():
-    state = dense_run(ProtocolConfig("ghz", 3))
-    planted = apply_frame(state, (0.0, np.pi / 2, np.pi))
-    corrections, residual = local_frame_fit(planted,
-                                            CanonicalTarget("ghz", 3))
-    assert residual < 1e-9
