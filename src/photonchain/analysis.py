@@ -398,6 +398,8 @@ def decay_fit(n_values, estimates) -> DecayFit:
     ns = np.asarray(n_values, dtype=float)
     if len(ns) < 3:
         raise FitError("need at least 3 points for a decay fit")
+    if len(np.unique(ns)) < 2:
+        raise FitError("a decay fit needs at least 2 distinct photon numbers")
     x = np.vstack([np.ones_like(ns), -ns]).T
     coef, cov = _weighted_lsq(x, estimates)
     intercept, slope = float(coef[0]), float(coef[1])

@@ -18,6 +18,7 @@ simulation lost numerical integrity.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -216,8 +217,11 @@ def cmd_analyze(args) -> int:
                 f"the records for N={n} support no estimator")
 
     if args.counts:
+        text = Path(args.counts).read_text()
+        if not text.strip():
+            raise ValueError(f"{args.counts}: the counts file is empty")
         rows = np.atleast_1d(
-            np.genfromtxt(args.counts, delimiter=",", names=True))
+            np.genfromtxt(io.StringIO(text), delimiter=",", names=True))
         # the file's own duration, from its first non-zero order
         hit = rows[rows["counts"] > 0]
         if len(hit) == 0:

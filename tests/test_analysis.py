@@ -262,6 +262,11 @@ def test_decay_fit_no_crossing_when_flat():
         decay_fit([2, 3], ests[:2])
 
 
+def test_decay_fit_refuses_single_photon_number():
+    with pytest.raises(FitError):
+        decay_fit([3, 3, 3], [Estimate(0.5, 0.1, 100)] * 3)
+
+
 def test_parity_curve_duplicate_phi_rejected():
     e = Estimate(1.0, 0.0, 10)
     with pytest.raises(ValueError):

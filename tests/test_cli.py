@@ -185,6 +185,16 @@ def test_degenerate_fit_exit_code(tmp_path, capsys):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("text", ["", "\n\n"])
+def test_empty_counts_file_refused(tmp_path, capsys, text):
+    counts = tmp_path / "counts.csv"
+    counts.write_text(text)
+    assert run(["analyze", "--counts", str(counts),
+                "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("eta_d", ["0", "-1", "nan", "1.5"])
 def test_eta_d_outside_unit_interval_refused(tmp_path, capsys, eta_d):
     counts = tmp_path / "counts.csv"
