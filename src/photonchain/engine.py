@@ -82,11 +82,14 @@ def _simulate_chunk(ops: tuple, n_att: int, noise: NoiseConfig, seed: int,
     deltas = out.deltas[a:b]
     eta = noise.eta
 
-    # first-photon retry loop, truncated at max_first_attempts
-    att_hit = np.stack([crng.uniform(seed, shots, crng.FIRST_ATTEMPT_BASE + j)
-                        for j in range(n_att)], axis=1) < eta
-    any_hit = att_hit.any(axis=1)
-    out.attempts[a:b] = np.where(any_hit, att_hit.argmax(axis=1) + 1, n_att)
+    # first-photon retries: attempt j only for the shots that missed 0..j-1
+    out.attempts[a:b] = n_att
+    miss = np.arange(b - a)
+    for j in range(n_att):
+        u = crng.uniform(seed, shots[miss], crng.FIRST_ATTEMPT_BASE + j)
+        hit = u < eta
+        out.attempts[a + miss[hit]] = j + 1
+        miss = miss[~hit]
 
     # the recorded offset: the quasi-static sample, or the cycle-0 one
     per_cycle = noise.b_sigma > 0.0 and noise.b_model == "per-cycle"
@@ -97,7 +100,7 @@ def _simulate_chunk(ops: tuple, n_att: int, noise: NoiseConfig, seed: int,
 
     # void shots (no first photon in n_att attempts) never enter the
     # cycling stage; drop them from state evolution right away
-    cur = np.flatnonzero(any_hit)
+    cur = np.setdiff1d(np.arange(b - a), miss, assume_unique=True)
     amps = np.zeros((len(cur), 8), dtype=complex)
 
     for op in ops:
@@ -190,10 +193,12 @@ def _simulate_chunk(ops: tuple, n_att: int, noise: NoiseConfig, seed: int,
                 amps = amps[det]
 
     if len(cur):
-        norms = np.linalg.norm(amps, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
+        drift = np.abs(np.linalg.norm(amps, axis=1) - 1.0)
+        if np.any(~(drift <= 1e-9)):    # a NaN norm fails too
+            worst = np.argmax(drift)    # the first NaN, if any
             raise NumericalIntegrityError(
-                f"state norm drifted to {norms[np.argmax(np.abs(norms-1))]}")
+                f"state norm drifted by {drift[worst]} (seed {seed}, run "
+                f"{out.run_ids[a + cur[worst]]})")
 
 
 def _run_range(cfg, noise: NoiseConfig, basis_plan, seed: int, lo: int,
@@ -293,24 +298,25 @@ def rate_benchmark(cfg: ProtocolConfig, noise: NoiseConfig, duration: float,
     attempt.
 
     Detection is independent of the measured polarizations, so this path
-    samples only the detection Bernoulli chain.
+    samples only the detection Bernoulli chain, and each slot's trial
+    only for the runs still alive: about runs / (1 - eta) draws in all.
     """
     if cfg.kind != "rate":
         raise ValueError("rate_benchmark needs a RateBenchmark config")
     period = cfg.repetition_period
-    n_runs = int(duration / period)
-    if n_runs < 1:
-        raise ValueError("duration shorter than one repetition period")
-    eta = noise.eta
+    runs = duration / period
+    # run ids address the counter streams, so they must fit in [0, 2^63)
+    if not 1.0 <= runs < 2.0 ** 63:
+        raise ValueError(f"duration {duration} s is {runs} repetition "
+                         "periods; the run count must lie in [1, 2^63)")
+    n_runs = int(runs)
     counts = np.zeros(cfg.n_photons, dtype=np.int64)
     for lo in range(0, n_runs, CHUNK * 4):
-        hi = min(lo + CHUNK * 4, n_runs)
-        runs = np.arange(lo, hi, dtype=np.uint64)
-        alive = np.ones(hi - lo, dtype=bool)
+        alive = np.arange(lo, min(lo + CHUNK * 4, n_runs), dtype=np.uint64)
         for k in range(cfg.n_photons):
-            u = crng.uniform(seed, runs, crng.slot_draw(k, crng.SLOT_DETECT))
-            alive &= u < eta
-            counts[k] += int(np.count_nonzero(alive))
+            u = crng.uniform(seed, alive, crng.slot_draw(k, crng.SLOT_DETECT))
+            alive = alive[u < noise.eta]
+            counts[k] += len(alive)
     return RateResult(counts, n_runs, n_runs * period, period)
 
 

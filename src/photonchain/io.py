@@ -97,8 +97,9 @@ class ExecutionPlan:
             raise ConfigError("shots and threads must be positive")
         if not 0 <= self.seed < 2 ** 63:
             raise ConfigError(f"seed {self.seed} outside [0, 2^63)")
-        if self.duration <= 0:
-            raise ConfigError("duration must be positive")
+        if not 0 < self.duration < math.inf:
+            raise ConfigError(f"duration {self.duration} must be positive "
+                              "and finite")
 
 
 @dataclass(frozen=True)

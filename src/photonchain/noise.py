@@ -40,8 +40,11 @@ class NoiseConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name}={p} outside [0, 1]")
-        if self.raman_sigma < 0 or self.b_sigma < 0:
-            raise ValueError("noise widths must be non-negative")
+        for name in ("raman_sigma", "b_sigma"):
+            w = getattr(self, name)
+            if not 0.0 <= w < math.inf:
+                raise ValueError(f"{name}={w} must be finite and "
+                                 "non-negative")
         if self.b_model not in ("quasi-static", "per-cycle"):
             raise ValueError(f"unknown b_model {self.b_model!r}")
 

@@ -1,9 +1,11 @@
 """Counter-based random streams for reproducible parallel Monte Carlo.
 
 Every random draw in a simulation is addressed by ``(seed, shot, draw)``
-and computed by a stateless 64-bit mixing function.  Results are therefore
-byte-identical no matter how shots are batched or spread over threads, and
-no generator state ever has to be carried around or split.
+and computed by a stateless 64-bit mixing function.  A draw depends on
+those three indices only, so results are byte-identical no matter how
+shots are batched or spread over threads, drawing for any subset of shots
+gives those shots the same values as drawing for all of them, and no
+generator state ever has to be carried around or split.
 
 The mixer is the SplitMix64 finalizer applied twice to a combination of
 the three indices.  That is plenty for Monte Carlo work; statistical
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -54,9 +55,12 @@ SLOT_FIELD = 20
 
 
 def _mix64(x):
-    x = (x ^ (x >> np.uint64(30))) * _M1 & _MASK
-    x = (x ^ (x >> np.uint64(27))) * _M2 & _MASK
-    return x ^ (x >> np.uint64(31))
+    x ^= x >> np.uint64(30)
+    x *= _M1
+    x ^= x >> np.uint64(27)
+    x *= _M2
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def raw(seed, shot, draw):
@@ -66,11 +70,13 @@ def raw(seed, shot, draw):
     broadcast shape of the inputs.
     """
     with np.errstate(over="ignore"):
-        s = np.uint64(seed) * _GAMMA & _MASK
-        x = (s ^ (np.asarray(shot, dtype=np.uint64) * _C_SHOT & _MASK)) & _MASK
-        x = (x + np.uint64(draw) * _C_DRAW) & _MASK
-        x = _mix64((x + _GAMMA) & _MASK)
-        x = _mix64((x + _GAMMA) & _MASK)
+        # uint64 wraps mod 2^64; the product is a fresh array, updated in place
+        x = np.asarray(shot, dtype=np.uint64) * _C_SHOT
+        x ^= np.uint64(seed) * _GAMMA
+        x += np.uint64(draw) * _C_DRAW + _GAMMA
+        x = _mix64(x)
+        x += _GAMMA
+        x = _mix64(x)
     return x
 
 

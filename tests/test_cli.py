@@ -216,6 +216,16 @@ def test_shots_beyond_address_space_refused(tmp_path, capsys):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("duration", ["inf", "1e30"])
+def test_absurd_rate_duration_refused(tmp_path, capsys, duration):
+    # inf is refused by the config; 1e30 s holds more runs than the run-id
+    # range [0, 2^63), refused before any run is drawn
+    assert run(["simulate", "--kind", "rate", "--n", "14", "--duration",
+                duration, "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_integrity_error_exit_code(tmp_path, monkeypatch):
     from photonchain import engine
     from photonchain.engine import NumericalIntegrityError

@@ -1,13 +1,16 @@
 """Trajectory engine: statistics against the dense oracle, determinism,
 loss accounting and the built-in probes."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from photonchain import rng as crng
 from photonchain.engine import (
     CHUNK,
+    NumericalIntegrityError,
     coherence_probe,
     rate_benchmark,
     run_batch,
@@ -147,6 +150,24 @@ def test_first_photon_retry_distribution():
     assert np.all(batch.outcomes[void] == 0)
 
 
+@pytest.mark.parametrize("n_att", [1, 7])
+def test_attempts_match_full_draw_argmax(n_att):
+    # the retry loop draws attempt j only for shots that missed 0 .. j-1;
+    # the records equal the form that drew every attempt for every shot
+    eta, seed, shots = 0.3, 29, CHUNK + 5
+    batch = run_batch(ProtocolConfig("ghz", 2, max_first_attempts=n_att),
+                      NoiseConfig(eta0=eta), [MeasBasis.z()] * 2, shots,
+                      seed)
+    ids = np.arange(shots, dtype=np.uint64)
+    hit = np.stack([crng.uniform(seed, ids, crng.FIRST_ATTEMPT_BASE + j)
+                    for j in range(n_att)], axis=1) < eta
+    any_hit = hit.any(axis=1)
+    assert not any_hit.all()            # void shots are covered
+    assert np.array_equal(batch.attempts,
+                          np.where(any_hit, hit.argmax(axis=1) + 1, n_att))
+    assert np.array_equal(batch.detected[:, 0], any_hit)
+
+
 def test_loss_marginals():
     eta = 0.55
     noise = NoiseConfig(eta0=eta)
@@ -211,6 +232,48 @@ def test_rate_benchmark_counts():
         assert abs(counts[k] - want) < 5 * np.sqrt(want)
     with pytest.raises(ValueError):
         rate_benchmark(ProtocolConfig("ghz", 6), noise, 10.0, 0)
+
+
+def _full_mask_counts(n, eta, n_runs, seed):
+    """Coincidence counts with every slot drawn for every run."""
+    counts = np.zeros(n, dtype=np.int64)
+    for lo in range(0, n_runs, CHUNK * 4):
+        runs = np.arange(lo, min(lo + CHUNK * 4, n_runs), dtype=np.uint64)
+        alive = np.ones(len(runs), dtype=bool)
+        for k in range(n):
+            alive &= crng.uniform(seed, runs, crng.slot_draw(
+                k, crng.SLOT_DETECT)) < eta
+            counts[k] += np.count_nonzero(alive)
+    return counts
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.4318, 1.0])
+@pytest.mark.parametrize("n_runs", [4 * CHUNK - 1, 4 * CHUNK + 1, 1000])
+def test_rate_benchmark_matches_full_mask_loop(eta, n_runs):
+    cfg = ProtocolConfig("rate", 14)
+    result = rate_benchmark(cfg, NoiseConfig(eta0=eta),
+                            (n_runs + 0.5) * cfg.repetition_period, seed=23)
+    assert result.n_runs == n_runs
+    assert np.array_equal(result.counts,
+                          _full_mask_counts(14, eta, n_runs, 23))
+
+
+@pytest.mark.parametrize("duration", [math.inf, math.nan, 1e-4, 1e30])
+def test_rate_benchmark_refuses_run_count_outside_range(duration):
+    # the run count must lie in [1, 2^63), the run-id range
+    with pytest.raises(ValueError, match="run count"):
+        rate_benchmark(ProtocolConfig("rate", 3), NOISELESS, duration, 0)
+
+
+def test_nan_norm_names_seed_and_run():
+    # an infinite angle error makes every amplitude NaN; the norm check
+    # must catch NaN and name the offending seed and run id
+    noise = NoiseConfig()
+    object.__setattr__(noise, "raman_sigma", math.inf)  # past validation
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NumericalIntegrityError, match=r"seed 31, run 777\)"):
+        run_shot(ProtocolConfig("ghz", 3), noise, [MeasBasis.z()] * 3,
+                 seed=31, shot_index=777)
 
 
 def test_coherence_probe_matches_envelope():

@@ -1,6 +1,7 @@
 """Config parsing, records round-trips and deterministic summaries."""
 
 import json
+import math
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
@@ -178,6 +179,12 @@ def test_seed_range():
     for seed in (-1, 2 ** 63):
         with pytest.raises(ConfigError, match="seed"):
             ExecutionPlan(seed=seed)
+
+
+@pytest.mark.parametrize("duration", [0.0, -1.0, math.inf, math.nan])
+def test_duration_positive_and_finite(duration):
+    with pytest.raises(ConfigError, match="duration"):
+        ExecutionPlan(duration=duration)
 
 
 def test_summary_deterministic(tmp_path):

@@ -1,6 +1,8 @@
 """Noise model validation, calibration helpers, and the statistics of
 each noise channel as the engine samples it."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,13 @@ def test_validation():
         NoiseConfig(raman_sigma=-0.1)
     with pytest.raises(ValueError):
         NoiseConfig(b_model="fast")
+
+
+@pytest.mark.parametrize("width", ["raman_sigma", "b_sigma"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_widths_refused(width, value):
+    with pytest.raises(ValueError, match=width):
+        NoiseConfig(**{width: value})
 
 
 def test_raman_sigma_for_one_percent():

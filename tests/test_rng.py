@@ -1,12 +1,29 @@
 """Counter-based RNG: determinism, stream independence, distribution."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from photonchain import rng as crng
 
 U64 = st.integers(0, 2 ** 63 - 1)
+M64 = (1 << 64) - 1
+
+
+def _mix_ref(x):
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & M64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & M64
+    return x ^ (x >> 31)
+
+
+def raw_ref(seed, shot, draw):
+    """SplitMix64-based raw draw in pure Python integers."""
+    x = ((seed * 0x9E3779B97F4A7C15) & M64) ^ ((shot * 0xD6E8FEB86659FD93)
+                                               & M64)
+    x = (x + draw * 0xA5A5B9E3779B97F5 + 0x9E3779B97F4A7C15) & M64
+    x = _mix_ref(x)
+    return _mix_ref((x + 0x9E3779B97F4A7C15) & M64)
 
 
 @given(seed=U64, shot=U64, draw=st.integers(0, 2 ** 20))
@@ -18,6 +35,25 @@ def test_raw_deterministic(seed, shot, draw):
 def test_uniform_in_unit_interval(seed, shot, draw):
     u = crng.uniform(seed, shot, draw)
     assert 0.0 <= u < 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 32 - 1, 2 ** 63 - 1])
+@pytest.mark.parametrize("draw", [0, 33, 2 ** 20])
+def test_raw_matches_integer_reference(seed, draw):
+    shots = [0, 1, 5, 2 ** 32, 12345678901234567, 2 ** 63 - 1]
+    got = crng.raw(seed, np.array(shots, dtype=np.uint64), draw)
+    assert got.dtype == np.uint64
+    assert [int(v) for v in got] == [raw_ref(seed, s, draw) for s in shots]
+    for s in shots:
+        one = crng.raw(seed, s, draw)
+        assert isinstance(one, np.uint64)
+        assert int(one) == raw_ref(seed, s, draw)
+
+
+def test_raw_leaves_shot_array_untouched():
+    shots = np.arange(10, dtype=np.uint64)
+    crng.raw(3, shots, 4)
+    assert np.array_equal(shots, np.arange(10, dtype=np.uint64))
 
 
 def test_vectorized_matches_scalar():
