@@ -292,10 +292,11 @@ class RateResult:
 
 def rate_benchmark(cfg: ProtocolConfig, noise: NoiseConfig, duration: float,
                    seed: int) -> RateResult:
-    """Coincidence counting: runs every repetition period, each making
-    ``cfg.n_photons`` consecutive generation attempts; an N-fold
-    coincidence needs photons 1..N all detected starting from the first
-    attempt.
+    """Coincidence counting: one run per :func:`schedule.run_period` (the
+    repetition period, or the schedule plus overhead when that is
+    longer), each making ``cfg.n_photons`` consecutive generation
+    attempts; an N-fold coincidence needs photons 1..N all detected
+    starting from the first attempt.
 
     Detection is independent of the measured polarizations, so this path
     samples only the detection Bernoulli chain, and each slot's trial
@@ -303,12 +304,12 @@ def rate_benchmark(cfg: ProtocolConfig, noise: NoiseConfig, duration: float,
     """
     if cfg.kind != "rate":
         raise ValueError("rate_benchmark needs a RateBenchmark config")
-    period = cfg.repetition_period
+    period = run_period(build_schedule(cfg))
     runs = duration / period
     # run ids address the counter streams, so they must fit in [0, 2^63)
     if not 1.0 <= runs < 2.0 ** 63:
-        raise ValueError(f"duration {duration} s is {runs} repetition "
-                         "periods; the run count must lie in [1, 2^63)")
+        raise ValueError(f"duration {duration} s is {runs} run periods; "
+                         "the run count must lie in [1, 2^63)")
     n_runs = int(runs)
     counts = np.zeros(cfg.n_photons, dtype=np.int64)
     for lo in range(0, n_runs, CHUNK * 4):

@@ -1,10 +1,13 @@
 """Run-configuration, shot-record and summary file formats.
 
-Records are delimited text, one row per shot (run_id, attempts, delta,
-then per-photon triples detected/basis/outcome), with a header line
-carrying the format version, a hash of the generating config, the seed,
-the photon count and the run period.  The hash is checked on re-load so
-records are never analyzed against the wrong post-selection assumptions.
+Records are comma-separated text, one row per shot (run_id, attempts,
+delta, then per-photon triples detected/basis/outcome), with a ``#``
+header line carrying the format version, a hash of the generating config,
+the seed, the photon count and the run period.  The header line ends in
+``\\n``; the column-name line and every shot row end in ``\\r\\n``, and
+no cell is quoted.  Rows are written and parsed a block at a time.  The
+hash is checked on re-load so records are never analyzed against the
+wrong post-selection assumptions.
 Summaries are JSON with sorted keys, so re-running an analysis on the
 same records reproduces the summary byte-identically.  The readers of
 outside input raise only their declared errors: :func:`parse_config` a
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -221,9 +225,32 @@ def load_config(path) -> RunConfig:
 # ---------------------------------------------------------------------------
 # records files
 
-_OUTCOME_CODE = {1: "+1", -1: "-1", 0: "."}
+_ROW_END = "\r\n"        # row terminator of the column line and shot rows
+_BLOCK = 8192           # shot rows written or parsed at a time
 _OUTCOME_VALUE = {"+1": 1, "-1": -1, ".": 0}
 _DETECTED_VALUE = {"1": True, "0": False}
+
+
+class _RaggedRow(Exception):
+    """A row without 3 + 3N cells."""
+
+
+def _photon_cells(code: str) -> np.ndarray:
+    """The six ``det,basis,out`` cells of a photon measured in ``code``,
+    indexed by ``detected * 3 + outcome + 1``."""
+    return np.array([f"{det},{code},{out}" for det in "01"
+                     for out in ("-1", ".", "+1")], dtype=object)
+
+
+def _row_text(batch, cells, lo: int, hi: int) -> str:
+    """Rows ``lo .. hi-1`` of ``batch`` as records text."""
+    index = batch.detected[lo:hi] * 3 + batch.outcomes[lo:hi] + 1
+    columns = [map(str, batch.run_ids[lo:hi].tolist()),
+               map(str, batch.attempts[lo:hi].tolist()),
+               map(repr, batch.deltas[lo:hi].tolist()),
+               *(table[index[:, k]].tolist()
+                 for k, table in enumerate(cells))]
+    return _ROW_END.join(map(",".join, zip(*columns))) + _ROW_END
 
 
 def write_records(path, batches, config_hash: str, seed: int) -> None:
@@ -239,23 +266,17 @@ def write_records(path, batches, config_hash: str, seed: int) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(f"# {FORMAT_VERSION} config={config_hash} seed={seed} "
                  f"n={n} period={period!r}\n")
-        writer = csv.writer(fh)
-        header = ["run_id", "attempts", "delta"]
-        for k in range(n):
-            header += [f"det{k}", f"basis{k}", f"out{k}"]
-        writer.writerow(header)
+        fh.write(",".join(["run_id", "attempts", "delta",
+                           *(f"{col}{k}" for k in range(n)
+                             for col in ("det", "basis", "out"))]) + _ROW_END)
         for batch in batches:
             if batch.n_photons != n:
                 raise ValueError("mixed photon counts in one records file")
-            codes = [b.code() for b in batch.bases]
-            for i in range(batch.n_shots):
-                row = [int(batch.run_ids[i]), int(batch.attempts[i]),
-                       repr(float(batch.deltas[i]))]
-                for k in range(n):
-                    row += ["1" if batch.detected[i, k] else "0",
-                            codes[k],
-                            _OUTCOME_CODE[int(batch.outcomes[i, k])]]
-                writer.writerow(row)
+            if ((batch.outcomes < -1) | (batch.outcomes > 1)).any():
+                raise ValueError("outcomes must be -1, 0 or +1")
+            cells = [_photon_cells(b.code()) for b in batch.bases]
+            for lo in range(0, batch.n_shots, _BLOCK):
+                fh.write(_row_text(batch, cells, lo, lo + _BLOCK))
 
 
 def read_records(path, expect_hash: str | None = None):
@@ -270,23 +291,18 @@ def read_records(path, expect_hash: str | None = None):
     try:
         with open(path, encoding="utf-8") as fh:
             header, groups = _read_groups(path, fh, expect_hash)
-        return header, [RecordBatch(
-            bases=bases,
-            detected=np.array([r[3] for r in rows], dtype=bool),
-            outcomes=np.array([r[4] for r in rows], dtype=np.int8),
-            attempts=np.array([r[1] for r in rows], dtype=np.int16),
-            deltas=np.array([r[2] for r in rows]),
-            run_ids=np.array([r[0] for r in rows], dtype=np.int64),
-            period=header["period"],
-        ) for bases, rows in groups.values()]
-    except (UnicodeDecodeError, csv.Error, OverflowError) as exc:
+    except UnicodeDecodeError as exc:
         raise RecordsFormatError(f"{path}: malformed records ({exc})") \
             from exc
+    return header, [RecordBatch(
+        bases, *map(np.concatenate, zip(*blocks)), period=header["period"])
+        for bases, blocks in groups.values()]
 
 
 def _read_groups(path, fh, expect_hash):
-    """The header dict and the rows of each basis plan, as
-    ``{codes: (bases, [(run_id, attempts, delta, det, out), ...])}``."""
+    """The header dict and the column blocks of each basis plan, as
+    ``{codes: (bases, [(detected, outcomes, attempts, deltas, run_ids),
+    ...])}``, the plans in order of first appearance."""
     first = fh.readline().strip()
     if not first.startswith(f"# {FORMAT_VERSION}"):
         raise RecordsFormatError(f"{path}: not a {FORMAT_VERSION} file")
@@ -303,32 +319,88 @@ def _read_groups(path, fh, expect_hash):
         raise RecordsFormatError(
             f"{path}: config hash {header['config']} does not match "
             f"expected {expect_hash}")
-    reader = csv.reader(fh)
-    n = (len(next(reader, ())) - 3) // 3
+    n = (len(fh.readline().split(",")) - 3) // 3
     if n != header["n"] or n < 1:
         raise RecordsFormatError(f"{path}: column count disagrees with "
                                  f"header n={header['n']}")
     groups: dict[tuple, tuple] = {}
-    # errors name the file line: reader.line_num + 1, since the header
-    # line was read before the csv reader started
-    for row in reader:
-        if len(row) != 3 + 3 * n:
-            raise RecordsFormatError(
-                f"{path}:{reader.line_num + 1}: ragged row {row[:2]}")
+    tails: dict[str, tuple] = {}
+    line = 3                            # file line of the block's first row
+    for block in iter(lambda: list(itertools.islice(fh, _BLOCK)), []):
+        if len(tails) > _BLOCK:         # hold at most two blocks' tails
+            tails.clear()
         try:
-            codes = tuple(row[3 + 3 * k + 1] for k in range(n))
-            if codes not in groups:
-                groups[codes] = (
-                    tuple(MeasBasis.from_code(c) for c in codes), [])
-            det = [_DETECTED_VALUE[row[3 + 3 * k]] for k in range(n)]
-            out = [_OUTCOME_VALUE[row[3 + 3 * k + 2]] for k in range(n)]
-            entry = (int(row[0]), int(row[1]), float(row[2]), det, out)
-        except (KeyError, ValueError) as exc:
-            raise RecordsFormatError(
-                f"{path}:{reader.line_num + 1}: malformed cell "
-                f"({exc})") from exc
-        groups[codes][1].append(entry)
+            _add_block(block, n, tails, groups)
+        except (_RaggedRow, KeyError, ValueError, OverflowError) as exc:
+            _raise_first_bad_row(path, block, line, n)
+            raise RecordsFormatError(f"{path}: malformed records "
+                                     f"({exc!r})") from exc
+        line += len(block)
     return header, groups
+
+
+def _decode_tail(text: str, n: int) -> tuple:
+    """The basis codes, detections and outcomes of a row's photon cells."""
+    cells = text.rstrip("\n").split(",")
+    if len(cells) != 3 * n:
+        raise _RaggedRow
+    return (tuple(cells[1::3]),
+            [_DETECTED_VALUE[c] for c in cells[0::3]],
+            [_OUTCOME_VALUE[c] for c in cells[2::3]])
+
+
+def _add_block(lines, n: int, tails: dict, groups: dict) -> None:
+    """Parse a block of row lines and append its columns to ``groups``.
+
+    Each distinct photon-cell tail is decoded once, through ``tails``; the
+    numeric cells are converted column by column.  Raises
+    :class:`_RaggedRow`, ``KeyError``, ``ValueError`` or ``OverflowError``
+    on a bad row, without saying which.
+    """
+    try:
+        run_ids, attempts, deltas, row_tails = zip(
+            *(line.split(",", 3) for line in lines))
+    except ValueError:
+        raise _RaggedRow from None
+    distinct = list(dict.fromkeys(row_tails))
+    for text in distinct:
+        if text not in tails:
+            tails[text] = _decode_tail(text, n)
+            codes = tails[text][0]
+            if codes not in groups:
+                groups[codes] = (tuple(map(MeasBasis.from_code, codes)), [])
+    position = {text: i for i, text in enumerate(distinct)}
+    index = np.fromiter(map(position.__getitem__, row_tails), dtype=np.intp,
+                        count=len(row_tails))
+    decoded = [tails[text] for text in distinct]
+    columns = (np.array([d[1] for d in decoded], dtype=bool)[index],
+               np.array([d[2] for d in decoded], dtype=np.int8)[index],
+               np.array(list(map(int, attempts)), dtype=np.int16),
+               np.array(list(map(float, deltas))),
+               np.array(list(map(int, run_ids)), dtype=np.int64))
+    keys = list(dict.fromkeys(d[0] for d in decoded))
+    if len(keys) == 1:
+        groups[keys[0]][1].append(columns)
+        return
+    plan = np.array([keys.index(d[0]) for d in decoded])[index]
+    for i, codes in enumerate(keys):
+        rows = plan == i
+        groups[codes][1].append(tuple(col[rows] for col in columns))
+
+
+def _raise_first_bad_row(path, lines, first: int, n: int) -> None:
+    """Raise the :class:`RecordsFormatError` of the first bad row among
+    ``lines``, which start at file line ``first``."""
+    for line_no, line in enumerate(lines, start=first):
+        try:
+            _add_block([line], n, {}, {})
+        except _RaggedRow:
+            cells = line.rstrip("\n").split(",")
+            raise RecordsFormatError(
+                f"{path}:{line_no}: ragged row {cells[:2]}") from None
+        except (KeyError, ValueError, OverflowError) as exc:
+            raise RecordsFormatError(
+                f"{path}:{line_no}: malformed cell ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -365,5 +437,4 @@ def write_curve(path, columns: dict) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
-        for i in range(len(arrays[0])):
-            writer.writerow([repr(float(a[i])) for a in arrays])
+        writer.writerows(zip(*(map(repr, a.tolist()) for a in arrays)))

@@ -226,6 +226,21 @@ def test_absurd_rate_duration_refused(tmp_path, capsys, duration):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_rate_config_with_zero_period_runs(tmp_path, capsys):
+    # a zero repetition period leaves the schedule plus overhead, 0.963 ms
+    # at N = 14, as the run period
+    config = tmp_path / "rate.json"
+    config.write_text(json.dumps({
+        "protocol": {"kind": "rate", "n_photons": 14,
+                     "repetition_period": 0},
+        "execution": {"duration": 60.0}}))
+    assert run(["simulate", "--config", str(config),
+                "--outdir", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "Traceback" not in out
+    assert out.startswith(f"simulated {int(60.0 / 0.963e-3)} runs over 60 s")
+
+
 def test_integrity_error_exit_code(tmp_path, monkeypatch):
     from photonchain import engine
     from photonchain.engine import NumericalIntegrityError

@@ -20,7 +20,7 @@ from photonchain.levels import MeasBasis
 from photonchain.noise import NoiseConfig, calibrate_field, coherence_envelope
 from photonchain.oracle import (basis_observable, dense_run,
                                 outcome_distribution, product_expectation)
-from photonchain.schedule import ProtocolConfig, build_schedule
+from photonchain.schedule import ProtocolConfig, build_schedule, run_period
 
 NOISELESS = NoiseConfig()
 
@@ -263,6 +263,19 @@ def test_rate_benchmark_refuses_run_count_outside_range(duration):
     # the run count must lie in [1, 2^63), the run-id range
     with pytest.raises(ValueError, match="run count"):
         rate_benchmark(ProtocolConfig("rate", 3), NOISELESS, duration, 0)
+
+
+@pytest.mark.parametrize("n,period", [(14, 1.1e-3), (17, 1.113e-3),
+                                      (40, 2.263e-3)])
+def test_rate_runs_last_the_schedule_when_it_outlasts_the_period(n, period):
+    # from N = 17 the schedule plus overhead outlasts the 1.1 ms repetition
+    # period; runs are then spaced by the schedule, not the period
+    cfg = ProtocolConfig("rate", n)
+    result = rate_benchmark(cfg, NoiseConfig(eta0=0.5), 1.0, seed=4)
+    assert result.period == run_period(build_schedule(cfg))
+    assert result.period == pytest.approx(period, rel=1e-9)
+    assert result.n_runs == int(1.0 / result.period)
+    assert result.duration == result.n_runs * result.period
 
 
 def test_nan_norm_names_seed_and_run():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonchain.analysis import Estimate
-from photonchain.engine import run_batch
+from photonchain.engine import RecordBatch, run_batch
 from photonchain.io import (
     ConfigError,
     ExecutionPlan,
@@ -159,6 +159,10 @@ def test_records_format_guards(tmp_path):
         read_records(bad)
     with pytest.raises(ValueError):
         write_records(tmp_path / "y.csv", [], "h", 0)
+    batch = sample_batches()[0]
+    with pytest.raises(ValueError, match="outcomes"):
+        write_records(tmp_path / "z.csv",
+                      replace(batch, outcomes=2 * batch.outcomes), "h", 0)
 
 
 @pytest.mark.parametrize("col,cell", [(3, "yes"), (5, "+2"), (0, "x")])
@@ -313,3 +317,227 @@ def test_malformed_records_file_rejected(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(RecordsFormatError):
         read_records(path)
+
+
+# ---------------------------------------------------------------------------
+# the block writer and reader against the row-at-a-time csv format
+
+def _csv_write_records(path, batches, config_hash, seed):
+    """Reference only: the row-by-row ``csv.writer`` loop that defined the
+    records format; ``write_records`` must write the same bytes."""
+    import csv
+    outcome_code = {1: "+1", -1: "-1", 0: "."}
+    n = batches[0].n_photons
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# photonchain-records v1 config={config_hash} seed={seed} "
+                 f"n={n} period={batches[0].period!r}\n")
+        writer = csv.writer(fh)
+        header = ["run_id", "attempts", "delta"]
+        for k in range(n):
+            header += [f"det{k}", f"basis{k}", f"out{k}"]
+        writer.writerow(header)
+        for batch in batches:
+            codes = [b.code() for b in batch.bases]
+            for i in range(batch.n_shots):
+                row = [int(batch.run_ids[i]), int(batch.attempts[i]),
+                       repr(float(batch.deltas[i]))]
+                for k in range(n):
+                    row += ["1" if batch.detected[i, k] else "0",
+                            codes[k],
+                            _OUTCOME_CODE[int(batch.outcomes[i, k])]]
+                writer.writerow(row)
+
+
+_OUTCOME_CODE = {1: "+1", -1: "-1", 0: "."}
+LOSSY = NoiseConfig(eta0=0.6, b_sigma=2e-3)
+
+
+def _batch(kind, n, shots, bases, noise=LOSSY, seed=3, **kwargs):
+    return run_batch(ProtocolConfig(kind, n), noise, bases, shots, seed,
+                     **kwargs)
+
+
+def _first_photon(batch):
+    """The records of photon 1 alone: the schedules need N >= 2, while a
+    records file holds any N >= 1."""
+    return replace(batch, bases=batch.bases[:1],
+                   detected=batch.detected[:, :1],
+                   outcomes=batch.outcomes[:, :1])
+
+
+WRITER_CASES = {
+    # 9000 rows: more than one write block
+    "n1": lambda: [_first_photon(_batch("ghz", 2, 9000,
+                                        [MeasBasis.x()] * 2))],
+    "n6": lambda: [_batch("cluster", 6, 400, MeasurementPlan(
+        "alternating-odd").plans(6)[0])],
+    "n12": lambda: [_batch("ghz", 12, 200, [MeasBasis.z()] * 12)],
+    "several plans": lambda: sample_batches(),
+    "equator codes": lambda: [_batch(
+        "ghz", 3, 200, [MeasBasis.equator(np.pi / 7), MeasBasis.equator(
+            0.1 + 0.2), MeasBasis.equator(-2.5e-17)])],
+    "abort_on_loss": lambda: [_batch("ghz", 4, 400, [MeasBasis.z()] * 4,
+                                     abort_on_loss=True)],
+    "b_sigma 0": lambda: [_batch("ghz", 2, 200, [MeasBasis.z()] * 2,
+                                 noise=NoiseConfig(eta0=0.6))],
+    "run ids near 2^63": lambda: [replace(b, run_ids=np.arange(
+        2 ** 63 - b.n_shots, 2 ** 63, dtype=np.int64)) for b in [
+            _batch("ghz", 2, 300, [MeasBasis.z()] * 2)]],
+}
+
+
+@pytest.mark.parametrize("case", list(WRITER_CASES))
+def test_write_records_matches_csv_writer(tmp_path, case):
+    batches = WRITER_CASES[case]()
+    codes = {b.code() for batch in batches for b in batch.bases}
+    deltas = np.concatenate([b.deltas for b in batches])
+    unmeasured = np.concatenate([b.outcomes == 0 for b in batches])
+    # each case shows the feature it is named for
+    assert {"n1": batches[0].n_shots > 8192,
+            "equator codes": any(c.startswith("E:") for c in codes),
+            "abort_on_loss": unmeasured.any(),
+            "b_sigma 0": (deltas == 0.0).all(),
+            "run ids near 2^63": batches[0].run_ids[-1] == 2 ** 63 - 1,
+            }.get(case, True)
+    if case == "n6":
+        assert (deltas < 0).any()
+    ref, new = tmp_path / "ref.csv", tmp_path / "new.csv"
+    _csv_write_records(ref, batches, "cafe0123cafe0123", 11)
+    write_records(new, batches, "cafe0123cafe0123", 11)
+    assert new.read_bytes() == ref.read_bytes()
+
+
+def _assert_same_read(a, b):
+    (ha, ba), (hb, bb) = a, b
+    assert ha == hb and len(ba) == len(bb)
+    for x, y in zip(ba, bb):
+        assert x.bases == y.bases and x.period == y.period
+        for col in ("detected", "outcomes", "attempts", "deltas", "run_ids"):
+            u, v = getattr(x, col), getattr(y, col)
+            assert u.dtype == v.dtype and np.array_equal(u, v), col
+
+
+def test_lf_only_records_read_back_identically(tmp_path):
+    path, lf = tmp_path / "crlf.csv", tmp_path / "lf.csv"
+    write_records(path, sample_batches(), "cafe0123cafe0123", seed=5)
+    data = path.read_bytes()
+    assert data.count(b"\r\n") == 601
+    lf.write_bytes(data.replace(b"\r\n", b"\n"))
+    _assert_same_read(read_records(path), read_records(lf))
+
+
+def _records_lines(tmp_path, batches):
+    path = tmp_path / "r.csv"
+    write_records(path, batches, "h", seed=0)
+    return path, path.read_text().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("at,text", [(4, "\r\n"), (6, "1,2,0.0\r\n")])
+def test_blank_or_short_row_is_ragged(tmp_path, at, text):
+    path, lines = _records_lines(tmp_path, sample_batches()[:1])
+    lines.insert(at, text)
+    path.write_text("".join(lines), newline="")
+    with pytest.raises(RecordsFormatError,
+                       match=f":{at + 1}: ragged row"):
+        read_records(path)
+
+
+BIG = None
+
+
+def _big_batch():
+    """One N = 1 batch of 9000 rows: more than one read block."""
+    global BIG
+    if BIG is None:
+        BIG = _first_photon(_batch("ghz", 2, 9000, [MeasBasis.x()] * 2))
+    return BIG
+
+
+@pytest.mark.parametrize("row", [0, 8999, 8192, 8500])
+@pytest.mark.parametrize("col,cell", [(0, "x"), (2, "0.5.1"), (3, "2"),
+                                      (4, "Q"), (5, "+2"), (0, '"7"')])
+def test_bad_cell_names_its_file_line(tmp_path, row, col, cell):
+    path, lines = _records_lines(tmp_path, [_big_batch()])
+    cells = lines[2 + row].rstrip("\r\n").split(",")
+    cells[col] = cell
+    lines[2 + row] = ",".join(cells) + "\r\n"
+    path.write_text("".join(lines), newline="")
+    with pytest.raises(RecordsFormatError,
+                       match=f":{row + 3}: malformed cell"):
+        read_records(path)
+
+
+def test_first_bad_row_of_a_block_is_named(tmp_path):
+    path, lines = _records_lines(tmp_path, [_big_batch()])
+    lines[8300] = "1,2\r\n"
+    cells = lines[8200].split(",")
+    cells[3] = "7"
+    lines[8200] = ",".join(cells)
+    path.write_text("".join(lines), newline="")
+    with pytest.raises(RecordsFormatError, match=":8201: malformed cell"):
+        read_records(path)
+
+
+def test_attempts_overflow_is_refused(tmp_path):
+    path, lines = _records_lines(tmp_path, sample_batches()[:1])
+    cells = lines[7].split(",")
+    cells[1] = "40000"
+    lines[7] = ",".join(cells)
+    path.write_text("".join(lines), newline="")
+    with pytest.raises(RecordsFormatError, match=":8: malformed cell"):
+        read_records(path)
+
+
+@pytest.mark.parametrize("col,cell", [(0, "2\x0c0"), (4, "Z\x0c"),
+                                      (5, "+\x0c1")])
+def test_form_feed_in_a_cell_is_not_a_line_break(tmp_path, col, cell):
+    # str.splitlines would break line 5 in two and call it ragged
+    path, lines = _records_lines(tmp_path, sample_batches()[:1])
+    cells = lines[4].split(",")
+    cells[col] = cell
+    lines[4] = ",".join(cells)
+    path.write_text("".join(lines), newline="")
+    with pytest.raises(RecordsFormatError, match=":5: malformed cell"):
+        read_records(path)
+
+
+@st.composite
+def _record_batches(draw):
+    """1-3 batches with distinct basis plans and any cell values."""
+    n = draw(st.integers(1, 4))
+    basis = st.sampled_from([MeasBasis.z(), MeasBasis.x()]) | st.floats(
+        -10.0, 10.0).map(MeasBasis.equator)
+    plans = draw(st.lists(st.tuples(*[basis] * n), min_size=1, max_size=3,
+                          unique_by=lambda p: tuple(b.code() for b in p)))
+    batches = []
+    for plan in plans:
+        shots = draw(st.integers(1, 20))
+        ints = st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=shots,
+                        max_size=shots)
+        batches.append(RecordBatch(
+            bases=plan,
+            detected=np.array(draw(st.lists(st.lists(
+                st.booleans(), min_size=n, max_size=n), min_size=shots,
+                max_size=shots)), dtype=bool),
+            outcomes=np.array(draw(st.lists(st.lists(
+                st.sampled_from([-1, 0, 1]), min_size=n, max_size=n),
+                min_size=shots, max_size=shots)), dtype=np.int8),
+            attempts=np.array(draw(st.lists(st.integers(-2 ** 15, 2 ** 15 - 1),
+                                            min_size=shots, max_size=shots)),
+                              dtype=np.int16),
+            deltas=np.array(draw(st.lists(st.floats(allow_nan=False),
+                                          min_size=shots, max_size=shots))),
+            run_ids=np.array(draw(ints), dtype=np.int64),
+            period=1.1e-3))
+    return batches
+
+
+@settings(deadline=None, max_examples=200)
+@given(batches=_record_batches())
+def test_records_roundtrip_property(batches):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "r.csv"
+        write_records(path, batches, "cafe0123cafe0123", seed=9)
+        _assert_same_read(read_records(path), (
+            {"config": "cafe0123cafe0123", "seed": 9,
+             "n": batches[0].n_photons, "period": 1.1e-3}, batches))
