@@ -117,8 +117,9 @@ class ProtocolConfig:
                 raise ScheduleError(
                     "custom protocol needs one rotation angle per cycle "
                     f"({self.n_photons - 1} expected)")
-        if self.probe_delay < 0 or self.dd_tau < 0:
-            raise ScheduleError("delays must be non-negative")
+        if min(self.probe_delay, self.dd_tau, self.repetition_period) < 0:
+            raise ScheduleError("delays and the repetition period must be "
+                                "non-negative")
 
     def rotation_angle(self, cycle: int) -> float:
         if self.kind == GHZ or self.kind == DDSCAN or self.kind == RATE:

@@ -239,6 +239,11 @@ def test_rate_config_with_zero_period_runs(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert err == "" and "Traceback" not in out
     assert out.startswith(f"simulated {int(60.0 / 0.963e-3)} runs over 60 s")
+    config.write_text(config.read_text().replace('"repetition_period": 0',
+                                                 '"repetition_period": -1'))
+    assert run(["simulate", "--config", str(config),
+                "--outdir", str(tmp_path)]) == 2
+    assert "repetition period" in capsys.readouterr().err
 
 
 def test_integrity_error_exit_code(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 """Config parsing, records round-trips and deterministic summaries."""
 
+import csv
+import functools
 import json
 import math
 import tempfile
@@ -325,7 +327,6 @@ def test_malformed_records_file_rejected(tmp_path, content):
 def _csv_write_records(path, batches, config_hash, seed):
     """Reference only: the row-by-row ``csv.writer`` loop that defined the
     records format; ``write_records`` must write the same bytes."""
-    import csv
     outcome_code = {1: "+1", -1: "-1", 0: "."}
     n = batches[0].n_photons
     with open(path, "w", newline="") as fh:
@@ -344,11 +345,10 @@ def _csv_write_records(path, batches, config_hash, seed):
                 for k in range(n):
                     row += ["1" if batch.detected[i, k] else "0",
                             codes[k],
-                            _OUTCOME_CODE[int(batch.outcomes[i, k])]]
+                            outcome_code[int(batch.outcomes[i, k])]]
                 writer.writerow(row)
 
 
-_OUTCOME_CODE = {1: "+1", -1: "-1", 0: "."}
 LOSSY = NoiseConfig(eta0=0.6, b_sigma=2e-3)
 
 
@@ -392,15 +392,14 @@ def test_write_records_matches_csv_writer(tmp_path, case):
     codes = {b.code() for batch in batches for b in batch.bases}
     deltas = np.concatenate([b.deltas for b in batches])
     unmeasured = np.concatenate([b.outcomes == 0 for b in batches])
-    # each case shows the feature it is named for
+    # each case shows the feature it is named for; n6 the negative deltas
     assert {"n1": batches[0].n_shots > 8192,
+            "n6": (deltas < 0).any(),
             "equator codes": any(c.startswith("E:") for c in codes),
             "abort_on_loss": unmeasured.any(),
             "b_sigma 0": (deltas == 0.0).all(),
             "run ids near 2^63": batches[0].run_ids[-1] == 2 ** 63 - 1,
             }.get(case, True)
-    if case == "n6":
-        assert (deltas < 0).any()
     ref, new = tmp_path / "ref.csv", tmp_path / "new.csv"
     _csv_write_records(ref, batches, "cafe0123cafe0123", 11)
     write_records(new, batches, "cafe0123cafe0123", 11)
@@ -429,7 +428,7 @@ def test_lf_only_records_read_back_identically(tmp_path):
 def _records_lines(tmp_path, batches):
     path = tmp_path / "r.csv"
     write_records(path, batches, "h", seed=0)
-    return path, path.read_text().splitlines(keepends=True)
+    return path, path.read_bytes().decode().splitlines(keepends=True)
 
 
 @pytest.mark.parametrize("at,text", [(4, "\r\n"), (6, "1,2,0.0\r\n")])
@@ -442,15 +441,10 @@ def test_blank_or_short_row_is_ragged(tmp_path, at, text):
         read_records(path)
 
 
-BIG = None
-
-
+@functools.cache
 def _big_batch():
     """One N = 1 batch of 9000 rows: more than one read block."""
-    global BIG
-    if BIG is None:
-        BIG = _first_photon(_batch("ghz", 2, 9000, [MeasBasis.x()] * 2))
-    return BIG
+    return _first_photon(_batch("ghz", 2, 9000, [MeasBasis.x()] * 2))
 
 
 @pytest.mark.parametrize("row", [0, 8999, 8192, 8500])
