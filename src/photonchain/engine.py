@@ -30,7 +30,8 @@ from .schedule import (COHERENCE, DDSCAN, EmitOp, PrecessOp, ProtocolConfig,
 _SCAT_A = Sublevel(2, 1).index
 _SCAT_B = Sublevel(2, -1).index
 
-CHUNK = 1 << 15
+CHUNK = 1 << 13
+RATE_BLOCK = 1 << 17         # runs per block of rate_benchmark
 PLAN_SEED_STRIDE = 1000003   # distinct stream block per basis plan
 
 
@@ -103,18 +104,32 @@ def _simulate_chunk(ops: tuple, n_att: int, noise: NoiseConfig, seed: int,
     cur = np.setdiff1d(np.arange(b - a), miss, assume_unique=True)
     amps = np.zeros((len(cur), 8), dtype=complex)
 
+    def field(cycle):   # drawn for the still-active shots only
+        return noise.b_sigma * crng.normal(
+            seed, shots[cur], crng.slot_draw(cycle, crng.SLOT_FIELD))
+
+    # each distinct window's phase factors, kept while the active shots
+    # stay the same: always, unless abort_on_loss drops them at emissions
+    store = None if abort_on_loss else {}
+    cycle, offsets = None, deltas[cur]
+
     for op in ops:
         if len(cur) == 0:
             break
         if isinstance(op, PrecessOp):
-            # per-cycle samples are drawn for the still-active shots only;
             # without a field offset the co-rotating frame has no phase
-            if per_cycle:
-                amps *= op.phases(noise.b_sigma * crng.normal(
-                    seed, shots[cur],
-                    crng.slot_draw(op.cycle, crng.SLOT_FIELD)))
-            elif op.lab_frame or noise.b_sigma > 0.0:
-                amps *= op.phases(deltas[cur])
+            if not (op.lab_frame or noise.b_sigma > 0.0):
+                continue
+            if store is None:
+                amps *= op.phases(field(op.cycle) if per_cycle
+                                  else deltas[cur])
+                continue
+            if per_cycle and op.cycle != cycle:
+                # a past cycle's sample never comes back
+                cycle, offsets, store = op.cycle, field(op.cycle), {}
+            if op.key not in store:
+                store[op.key] = op.phases(offsets)
+            amps *= store[op.key]
 
         elif isinstance(op, PumpOp):
             amps[:] = 0.0
@@ -228,11 +243,15 @@ def _run_range(cfg, noise: NoiseConfig, basis_plan, seed: int, lo: int,
         raise ValueError(f"records of {size} shots x {n} photons do not fit "
                          "in memory") from exc
 
+    # an abort_on_loss chunk keeps no phase factors and thins out at every
+    # emission, so its per-op overhead, not its memory, sets its size
+    chunk = CHUNK * 4 if abort_on_loss else CHUNK
+
     def work(a):
         _simulate_chunk(ops, n_att, noise, seed, out, a,
-                        min(a + CHUNK, size), abort_on_loss)
+                        min(a + chunk, size), abort_on_loss)
 
-    starts = range(0, size, CHUNK)
+    starts = range(0, size, chunk)
     if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             list(ex.map(work, starts))
@@ -312,8 +331,8 @@ def rate_benchmark(cfg: ProtocolConfig, noise: NoiseConfig, duration: float,
                          "the run count must lie in [1, 2^63)")
     n_runs = int(runs)
     counts = np.zeros(cfg.n_photons, dtype=np.int64)
-    for lo in range(0, n_runs, CHUNK * 4):
-        alive = np.arange(lo, min(lo + CHUNK * 4, n_runs), dtype=np.uint64)
+    for lo in range(0, n_runs, RATE_BLOCK):
+        alive = np.arange(lo, min(lo + RATE_BLOCK, n_runs), dtype=np.uint64)
         for k in range(cfg.n_photons):
             u = crng.uniform(seed, alive, crng.slot_draw(k, crng.SLOT_DETECT))
             alive = alive[u < noise.eta]

@@ -429,9 +429,11 @@ def write_summary(path, summary: dict) -> None:
 
 
 def write_curve(path, columns: dict) -> None:
-    """Plot-ready delimited text: named columns of equal length."""
+    """Plot-ready delimited text: named columns of equal length, integer
+    columns as integers and the rest as floats."""
     names = list(columns)
-    arrays = [np.asarray(columns[c], dtype=float) for c in names]
+    arrays = [np.asarray(columns[c]) for c in names]
+    arrays = [a if a.dtype.kind in "iu" else a.astype(float) for a in arrays]
     if len({len(a) for a in arrays}) != 1:
         raise ValueError("curve columns must have equal length")
     with open(path, "w", newline="") as fh:

@@ -315,6 +315,7 @@ class PrecessOp:
     rate: np.ndarray   # s_F mF * OMEGA_L * duration, per sublevel
     lab_frame: bool    # uncompensated delay: full Larmor phase
     cycle: int         # photon cycle, selects the per-cycle field sample
+    key: tuple         # (duration, lab_frame): equal keys, equal rates
 
     def phases(self, delta):
         """Phase factors exp(-i rate s), with s = 1 + delta in the lab
@@ -366,7 +367,8 @@ def compile_schedule(sched: PulseSchedule,
             raise ScheduleError(f"negative duration in a {step.kind} step")
         if step.duration > 0 and step.kind != PUMP:
             ops.append(PrecessOp(coeff * (OMEGA_L * step.duration),
-                                 step.lab_frame, step.cycle))
+                                 step.lab_frame, step.cycle,
+                                 (step.duration, step.lab_frame)))
         if step.kind == PUMP:
             ops.append(PumpOp())
         elif step.kind == PULSE:

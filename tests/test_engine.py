@@ -7,9 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from photonchain import engine
 from photonchain import rng as crng
 from photonchain.engine import (
     CHUNK,
+    RATE_BLOCK,
     NumericalIntegrityError,
     coherence_probe,
     rate_benchmark,
@@ -110,15 +112,16 @@ def test_determinism_with_noise():
 
 
 def test_run_shot_matches_batch_row():
-    cfg = ProtocolConfig("ghz", 3)
-    bases = [MeasBasis.x()] * 3
+    ghz, cluster = ProtocolConfig("ghz", 3), ProtocolConfig("cluster", 4)
     per_cycle = NoiseConfig(eta0=0.8, raman_sigma=0.05, closing_scatter_p=0.3,
                             b_sigma=5e-4, b_model="per-cycle")
-    for noise, shots, rows in (
-            (NoiseConfig(eta0=0.8, raman_sigma=0.05, b_sigma=5e-4), 50,
+    border = (CHUNK - 1, CHUNK, CHUNK + 1)  # both sides of a chunk border
+    for cfg, noise, shots, rows in (
+            (ghz, NoiseConfig(eta0=0.8, raman_sigma=0.05, b_sigma=5e-4), 50,
              (0, 17, 49)),
-            # rows on both sides of a chunk border
-            (per_cycle, CHUNK + 2, (CHUNK - 1, CHUNK, CHUNK + 1))):
+            (ghz, per_cycle, CHUNK + 2, border),
+            (cluster, per_cycle, CHUNK + 2, border)):
+        bases = [MeasBasis.x()] * cfg.n_photons
         batch = run_batch(cfg, noise, bases, shots, seed=21)
         for i in rows:
             single = run_shot(cfg, noise, bases, seed=21, shot_index=i)
@@ -129,6 +132,34 @@ def test_run_shot_matches_batch_row():
                         "run_ids"):
                 assert np.array_equal(getattr(single, col),
                                       getattr(batch, col)[i:i + 1])
+
+
+@pytest.mark.parametrize("b_model", ["quasi-static", "per-cycle"])
+@pytest.mark.parametrize("kind,n", [("cluster", 5), ("ghz", 6)])
+def test_records_do_not_depend_on_chunk_size(monkeypatch, kind, n, b_model):
+    # a chunk reuses each distinct precession's phase factors; neither the
+    # chunk size nor the thread count may show in the records, with or
+    # without abort_on_loss
+    cfg = ProtocolConfig(kind, n)
+    noise = NoiseConfig(eta0=0.6, raman_sigma=0.05, closing_scatter_p=0.1,
+                        b_sigma=1e-3, b_model=b_model)
+    bases = [MeasBasis.equator(0.7), MeasBasis.z()] * (n // 2) \
+        + [MeasBasis.x()] * (n % 2)
+    shots = CHUNK + 1500
+    for abort in (False, True):
+        want = run_batch(cfg, noise, bases, shots, seed=37,
+                         abort_on_loss=abort)
+        for chunk in (1000, 4097):
+            monkeypatch.setattr(engine, "CHUNK", chunk)
+            for threads in (1, 3):
+                got = run_batch(cfg, noise, bases, shots, seed=37,
+                                threads=threads, abort_on_loss=abort)
+                for col in ("detected", "outcomes", "attempts", "deltas",
+                            "run_ids"):
+                    assert np.array_equal(getattr(got, col),
+                                          getattr(want, col)), (abort, chunk,
+                                                                threads, col)
+            monkeypatch.undo()
 
 
 def test_first_photon_retry_distribution():
@@ -186,17 +217,23 @@ def test_loss_marginals():
 
 
 def test_abort_on_loss_equivalent_for_postselection():
-    noise = NoiseConfig(eta0=0.5, b_sigma=1e-3)
-    cfg = ProtocolConfig("ghz", 4)
-    bases = [MeasBasis.equator(0.5)] * 4
-    a = run_batch(cfg, noise, bases, 20000, seed=13)
-    b = run_batch(cfg, noise, bases, 20000, seed=13, abort_on_loss=True)
-    # identical shots are detected up to each shot's first loss, and the
-    # outcomes agree wherever both evolved
-    full_a = a.detected.all(axis=1)
-    full_b = b.detected.all(axis=1)
-    assert np.array_equal(full_a, full_b)
-    assert np.array_equal(a.outcomes[full_a], b.outcomes[full_b])
+    # abort_on_loss computes each precession's phase factors afresh, the
+    # full run reuses them within a chunk: the per-cycle cluster pins the
+    # reuse against the fresh form
+    for cfg, noise in (
+            (ProtocolConfig("ghz", 4), NoiseConfig(eta0=0.5, b_sigma=1e-3)),
+            (ProtocolConfig("cluster", 5),
+             NoiseConfig(eta0=0.8, raman_sigma=0.05, b_sigma=1e-3,
+                         b_model="per-cycle"))):
+        bases = [MeasBasis.equator(0.5)] * cfg.n_photons
+        a = run_batch(cfg, noise, bases, 20000, seed=13)
+        b = run_batch(cfg, noise, bases, 20000, seed=13, abort_on_loss=True)
+        # identical shots are detected up to each shot's first loss, and
+        # the outcomes agree wherever both evolved
+        full_a = a.detected.all(axis=1)
+        full_b = b.detected.all(axis=1)
+        assert np.array_equal(full_a, full_b)
+        assert np.array_equal(a.outcomes[full_a], b.outcomes[full_b])
 
 
 def test_basis_plan_length_checked():
@@ -237,8 +274,8 @@ def test_rate_benchmark_counts():
 def _full_mask_counts(n, eta, n_runs, seed):
     """Coincidence counts with every slot drawn for every run."""
     counts = np.zeros(n, dtype=np.int64)
-    for lo in range(0, n_runs, CHUNK * 4):
-        runs = np.arange(lo, min(lo + CHUNK * 4, n_runs), dtype=np.uint64)
+    for lo in range(0, n_runs, RATE_BLOCK):
+        runs = np.arange(lo, min(lo + RATE_BLOCK, n_runs), dtype=np.uint64)
         alive = np.ones(len(runs), dtype=bool)
         for k in range(n):
             alive &= crng.uniform(seed, runs, crng.slot_draw(
@@ -248,7 +285,7 @@ def _full_mask_counts(n, eta, n_runs, seed):
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.4318, 1.0])
-@pytest.mark.parametrize("n_runs", [4 * CHUNK - 1, 4 * CHUNK + 1, 1000])
+@pytest.mark.parametrize("n_runs", [RATE_BLOCK - 1, RATE_BLOCK + 1, 1000])
 def test_rate_benchmark_matches_full_mask_loop(eta, n_runs):
     cfg = ProtocolConfig("rate", 14)
     result = rate_benchmark(cfg, NoiseConfig(eta0=eta),

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonchain.analysis import Estimate
+from photonchain.cli import main
 from photonchain.engine import RecordBatch, run_batch
 from photonchain.io import (
     ConfigError,
@@ -211,6 +212,25 @@ def test_write_curve(tmp_path):
     assert rows["x"][1] == pytest.approx(0.1)
     with pytest.raises(ValueError):
         write_curve(path, {"x": [0.0], "y": [1.0, 2.0]})
+
+
+def test_write_curve_keeps_integer_columns(tmp_path):
+    # counts files hold integer photon numbers and counts; files written
+    # before integers were kept (every cell a float) fit the same
+    n = np.arange(1, 5)
+    counts = np.array([54545, 23552, 10170, 4391], dtype=np.int64)
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    write_curve(new, {"n": n, "counts": counts, "rate_per_s": counts / 60.0})
+    assert new.read_text().splitlines()[1:3] == [
+        f"1,54545,{54545 / 60.0!r}", f"2,23552,{23552 / 60.0!r}"]
+    write_curve(old, {"n": n.astype(float), "counts": counts.astype(float),
+                      "rate_per_s": counts / 60.0})
+    assert old.read_text().splitlines()[1] == f"1.0,54545.0,{54545 / 60.0!r}"
+    for path in (new, old):
+        assert main(["analyze", "--counts", str(path), "--outdir",
+                     str(tmp_path), "--out", f"{path.stem}.json"]) == 0
+    assert (tmp_path / "new.json").read_bytes() == \
+        (tmp_path / "old.json").read_bytes()
 
 
 def test_runconfig_defaults():
