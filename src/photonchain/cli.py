@@ -143,23 +143,25 @@ def _alternating(bases, parity_class):
 
 
 def analyze_batches(all_batches, n: int) -> dict:
-    """Everything computable from the given record groups."""
+    """Everything computable from the given record groups.  Batches with
+    identical basis plans, say one plan from several records files, are
+    merged first, so every estimator reads all of their events."""
     summary: dict = {"n_photons": n}
-    z_batches = [b for b in all_batches if _is_uniform(b.bases, "Z")]
-    x_batches = [b for b in all_batches if _is_uniform(b.bases, "E", 0.0)]
-    eq = {}    # phi -> the first uniform equator batch at that angle
+    merged: dict = {}
     for b in all_batches:
-        if _is_uniform(b.bases, "E", b.bases[0].phi):
-            eq.setdefault(b.bases[0].phi, b)
-    odd = [b for b in all_batches if _alternating(b.bases, 1)]
-    even = [b for b in all_batches if _alternating(b.bases, 0)]
+        merged[b.bases] = (merged[b.bases].concat(b) if b.bases in merged
+                           else b)
+    batches = list(merged.values())
+    z = next((b for b in batches if _is_uniform(b.bases, "Z")), None)
+    x = next((b for b in batches if _is_uniform(b.bases, "E", 0.0)), None)
+    eq = {b.bases[0].phi: b for b in batches
+          if _is_uniform(b.bases, "E", b.bases[0].phi)}
+    odd = next((b for b in batches if _alternating(b.bases, 1)), None)
+    even = next((b for b in batches if _alternating(b.bases, 0)), None)
 
     p_est = c_est = None
-    if z_batches:
-        merged = z_batches[0]
-        for b in z_batches[1:]:
-            merged = merged.concat(b)
-        p_est = an.populations(merged, n)
+    if z is not None:
+        p_est = an.populations(z, n)
         summary["population"] = p_est
     if len(eq) >= 8:
         curve = an.parity_curve(eq.items())
@@ -171,17 +173,17 @@ def analyze_batches(all_batches, n: int) -> dict:
             {"phi": phi, "parity": est} for phi, est in curve.points]
     if p_est and c_est:
         summary["fidelity"] = an.ghz_fidelity(p_est, c_est)
-    if x_batches and z_batches:
-        w = an.ghz_witness(x_batches[0], z_batches[0], n)
+    if x is not None and z is not None:
+        w = an.ghz_witness(x, z, n)
         summary["ghz_witness"] = {"bound": w.bound,
                                   "components": w.components}
-    if odd and even:
-        w = an.cluster_witness(odd[0], even[0], n)
+    if odd is not None and even is not None:
+        w = an.cluster_witness(odd, even, n)
         summary["cluster_witness"] = {"bound": w.bound,
                                       "settings": list(w.settings_used)}
         summary["stabilizers"] = {
             f"S{k}": est for k, est in
-            enumerate(an.stabilizers([odd[0], even[0]], n), start=1)
+            enumerate(an.stabilizers([odd, even], n), start=1)
             if est is not None}
     return summary
 

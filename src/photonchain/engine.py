@@ -62,6 +62,9 @@ class RecordBatch:
     def concat(self, other: "RecordBatch") -> "RecordBatch":
         if other.bases != self.bases:
             raise ValueError("cannot concatenate batches with different bases")
+        if other.period != self.period:
+            raise ValueError("cannot concatenate batches with different run "
+                             f"periods ({self.period} s, {other.period} s)")
         return RecordBatch(
             self.bases,
             np.concatenate([self.detected, other.detected]),
@@ -73,11 +76,68 @@ class RecordBatch:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class _Emission:
+    """An :class:`EmitOp` contracted with its slot's measurement basis.
+
+    ``terms[b][i]`` lists the amplitude of outcome ``b`` (0: +, 1: -) on
+    atomic level ``targets[i]`` as ``(source column, detected coefficient,
+    lost coefficient)`` triples: the non-zero entries of ``vdom`` against
+    the plan basis's +/- states (a detected photon) and the Z +/- states
+    (an emitted but lost one).  An emission has at most two source
+    columns and two target levels.
+    """
+
+    slot: int
+    domain: np.ndarray
+    targets: tuple
+    terms: tuple
+
+    def amplitudes(self, src: list, det: np.ndarray) -> list:
+        """The unnormalised amplitudes ``[plus, minus]``, each a list over
+        ``targets``, of shots whose source columns are ``src`` (one array
+        per ``domain`` level) and whose photon was detected where ``det``
+        holds."""
+        return [[sum(src[k] * (c_det if c_det == c_lost
+                               else np.where(det, c_det, c_lost))
+                     for k, c_det, c_lost in target_terms)
+                 for target_terms in branch]
+                for branch in self.terms]
+
+
+def _emission(op: EmitOp, basis: MeasBasis) -> _Emission:
+    joint = op.vdom.reshape(8, 2, -1)        # (atom, photon, source)
+    targets = tuple(int(t) for t in np.flatnonzero(joint.any(axis=(1, 2))))
+    z = MeasBasis.z()
+    terms = []
+    for det, lost in ((basis.plus_state(), z.plus_state()),
+                      (basis.minus_state(), z.minus_state())):
+        c_det = np.einsum("tpk,p->tk", joint, det.conj())
+        c_lost = np.einsum("tpk,p->tk", joint, lost.conj())
+        terms.append(tuple(
+            tuple((k, c_det[t, k], c_lost[t, k])
+                  for k in range(joint.shape[2])
+                  if c_det[t, k] != 0 or c_lost[t, k] != 0)
+            for t in targets))
+    return _Emission(op.slot, op.domain, targets, tuple(terms))
+
+
+def _abs2(x):
+    return x.real * x.real + x.imag * x.imag
+
+
 def _simulate_chunk(ops: tuple, n_att: int, noise: NoiseConfig, seed: int,
                     out: RecordBatch, a: int, b: int,
                     abort_on_loss: bool) -> None:
     """Evolve the shots of rows ``a .. b-1`` of ``out`` and write their
-    records into those rows."""
+    records into those rows.
+
+    ``ops`` is the compiled schedule with each emission contracted with
+    its slot's basis (:func:`_emission`).  An emission touches only its
+    <= 2 source and <= 2 target levels: it evaluates the non-zero entries
+    of ``vdom`` on the source columns, collapses and renormalises over
+    the target columns and writes them into a zeroed state.
+    """
     shots = out.run_ids[a:b].astype(np.uint64)
     detected, outcomes = out.detected[a:b], out.outcomes[a:b]
     deltas = out.deltas[a:b]
@@ -161,11 +221,10 @@ def _simulate_chunk(ops: tuple, n_att: int, noise: NoiseConfig, seed: int,
                     amps[hit, _SCAT_B] = (np.sqrt(1.0 - u1)
                                           * np.exp(2j * np.pi * u2))
 
-        elif isinstance(op, EmitOp):
+        elif isinstance(op, _Emission):
             slot = op.slot
-            sub = amps[:, op.domain]
-            p_emit = np.sum(np.abs(sub) ** 2, axis=1)
-            joint = (sub @ op.vdom.T).reshape(-1, 8, 2)
+            src = [amps[:, k] for k in op.domain]
+            p_emit = sum(_abs2(col) for col in src)
 
             if slot == 0:
                 det = emitted = np.ones(len(cur), dtype=bool)
@@ -177,28 +236,26 @@ def _simulate_chunk(ops: tuple, n_att: int, noise: NoiseConfig, seed: int,
             u_o = crng.uniform(seed, shots[cur],
                                crng.slot_draw(slot, crng.SLOT_OUTCOME))
 
-            # a detected photon collapses in the plan basis (the joint
-            # state already carries the slot's measurement frame), an
-            # emitted but lost one in Z
-            basis = out.bases[slot]
-            a_plus = np.where(det[:, None], joint @ basis.plus_state().conj(),
-                              joint[:, :, 0])
-            a_minus = np.where(det[:, None],
-                               joint @ basis.minus_state().conj(),
-                               joint[:, :, 1])
-            plus = u_o * p_emit < np.sum(np.abs(a_plus) ** 2, axis=1)
-            chosen = np.where(plus[:, None], a_plus, a_minus)
-            nrm = np.linalg.norm(chosen, axis=1)
-            chosen /= np.where(nrm > 0, nrm, 1.0)[:, None]
+            # a detected photon collapses in the plan basis (vdom already
+            # carries the slot's measurement frame), an emitted but lost
+            # one in Z
+            branches = op.amplitudes(src, det)
+            plus = u_o * p_emit < sum(_abs2(amp) for amp in branches[0])
+            chosen = [np.where(plus, ap, am) for ap, am in zip(*branches)]
+            nrm = np.sqrt(sum(_abs2(amp) for amp in chosen))
+            nrm = np.where(nrm > 0, nrm, 1.0)
+            new = np.zeros_like(amps)
+            for t, amp in zip(op.targets, chosen):
+                new[:, t] = amp / nrm
 
             # not emitted: the out-of-domain remainder, renormalised
             stay = ~emitted
             if np.any(stay):
                 rest = amps[stay]
                 rest[:, op.domain] = 0.0
-                chosen[stay] = rest / np.sqrt(
+                new[stay] = rest / np.sqrt(
                     np.maximum(1.0 - p_emit[stay], 1e-300))[:, None]
-            amps = chosen
+            amps = new
 
             detected[cur, slot] = det
             outcomes[cur, slot] = np.where(det, np.where(plus, 1, -1), 0)
@@ -232,7 +289,8 @@ def _run_range(cfg, noise: NoiseConfig, basis_plan, seed: int, lo: int,
     n_att = sched.max_first_attempts
     if n_att > crng.FIELD_DRAW:
         raise ValueError("max_first_attempts exceeds the reserved draw block")
-    ops = compile_schedule(sched, flip_f2_sign)
+    ops = tuple(_emission(op, basis_plan[op.slot]) if isinstance(op, EmitOp)
+                else op for op in compile_schedule(sched, flip_f2_sign))
     size = hi - lo
     try:
         out = RecordBatch(tuple(basis_plan), np.zeros((size, n), dtype=bool),

@@ -316,13 +316,34 @@ class PrecessOp:
     lab_frame: bool    # uncompensated delay: full Larmor phase
     cycle: int         # photon cycle, selects the per-cycle field sample
     key: tuple         # (duration, lab_frame): equal keys, equal rates
+    mags: np.ndarray   # the distinct non-zero |rate| values
+    levels: tuple      # ((sublevel, index into mags, rate < 0), ...)
 
     def phases(self, delta):
         """Phase factors exp(-i rate s), with s = 1 + delta in the lab
         frame and s = delta in the co-rotating one; an array of per-shot
-        offsets ``delta`` gives one row of factors per shot."""
+        offsets ``delta`` gives one row of factors per shot.
+
+        ``rate`` is s_F mF times one window phase, so it takes at most two
+        magnitudes (|mF| = 1, 2).  One exponential per magnitude gives
+        every factor: a level at -r takes the conjugate of the one at +r
+        (cos is even and sin odd, so this is exact) and an mF = 0 level
+        takes 1, equal to exp(-i rate s) level by level.
+        """
         scale = 1.0 + delta if self.lab_frame else delta
-        return np.exp(-1j * np.multiply.outer(scale, self.rate))
+        e = np.exp(-1j * np.multiply.outer(scale, self.mags))
+        out = np.ones(e.shape[:-1] + (8,), dtype=complex)
+        for level, col, neg in self.levels:
+            out[..., level] = e[..., col].conj() if neg else e[..., col]
+        return out
+
+
+def _precess_op(rate: np.ndarray, lab_frame: bool, cycle: int,
+                key: tuple) -> PrecessOp:
+    mags = np.unique(np.abs(rate[rate != 0]))
+    levels = tuple((i, int(np.searchsorted(mags, abs(r))), bool(r < 0))
+                   for i, r in enumerate(rate) if r != 0)
+    return PrecessOp(rate, lab_frame, cycle, key, mags, levels)
 
 
 @dataclass(frozen=True)
@@ -366,9 +387,9 @@ def compile_schedule(sched: PulseSchedule,
         if step.duration < 0:
             raise ScheduleError(f"negative duration in a {step.kind} step")
         if step.duration > 0 and step.kind != PUMP:
-            ops.append(PrecessOp(coeff * (OMEGA_L * step.duration),
-                                 step.lab_frame, step.cycle,
-                                 (step.duration, step.lab_frame)))
+            ops.append(_precess_op(coeff * (OMEGA_L * step.duration),
+                                   step.lab_frame, step.cycle,
+                                   (step.duration, step.lab_frame)))
         if step.kind == PUMP:
             ops.append(PumpOp())
         elif step.kind == PULSE:

@@ -305,3 +305,38 @@ def test_reproduce_fig3_records_provenance(tmp_path, capsys):
     summary = json.loads((tmp_path / "fig3_summary.json").read_text())
     assert sorted(summary["stabilizers"]) == [f"S{k}" for k in range(1, 6)]
     assert -1.0 <= summary["cluster_witness"]["bound"]["value"] <= 1.0
+
+
+def test_analyze_merges_every_file_of_one_plan(tmp_path):
+    # two alternating-odd/even file pairs: the witness reads all four files
+    out, events, paths = str(tmp_path), {}, []
+    for i, preset in enumerate(("alternating-odd", "alternating-even") * 2):
+        name = f"{preset}_{i}.csv"
+        assert run(["simulate", "--kind", "cluster", "--n", "4",
+                    "--shots", "800", "--seed", str(20 + i),
+                    "--measurement", preset, "--outdir", out,
+                    "--out", name]) == 0
+        paths.append(f"{out}/{name}")
+        _, (batch,) = read_records(paths[-1])
+        events[preset] = (events.get(preset, 0)
+                          + int(batch.detected.all(axis=1).sum()))
+    assert run(["analyze", "--records", *paths, "--outdir", out,
+                "--out", "s.json"]) == 0
+    bound = json.loads((tmp_path / "s.json").read_text())["n4"][
+        "cluster_witness"]["bound"]
+    assert bound["n_events"] == sum(events.values())
+
+
+def test_analyze_refuses_one_plan_at_two_run_periods(tmp_path, capsys):
+    out = str(tmp_path)
+    for name, period in (("a.csv", 1.1e-3), ("b.csv", 2.2e-3)):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"kind": "ghz", "n_photons": 3,
+                                   "repetition_period": period}))
+        assert run(["simulate", "--config", str(cfg), "--shots", "100",
+                    "--measurement", "z", "--outdir", out,
+                    "--out", name]) == 0
+    capsys.readouterr()
+    assert run(["analyze", "--records", f"{out}/a.csv", f"{out}/b.csv",
+                "--outdir", out]) == 2
+    assert "run periods" in capsys.readouterr().err

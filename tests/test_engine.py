@@ -22,7 +22,8 @@ from photonchain.levels import MeasBasis
 from photonchain.noise import NoiseConfig, calibrate_field, coherence_envelope
 from photonchain.oracle import (basis_observable, dense_run,
                                 outcome_distribution, product_expectation)
-from photonchain.schedule import ProtocolConfig, build_schedule, run_period
+from photonchain.schedule import (EmitOp, ProtocolConfig, build_schedule,
+                                  compile_schedule, run_period)
 
 NOISELESS = NoiseConfig()
 
@@ -344,6 +345,35 @@ def test_coherence_probe_matches_envelope():
     assert abs(p - env) < 0.03
 
 
+@pytest.mark.parametrize("frame", [0.0, np.pi, 0.7])
+@pytest.mark.parametrize("basis", [MeasBasis.z(), MeasBasis.x(),
+                                   MeasBasis.equator(0.3)],
+                         ids=["Z", "X", "Eq0.3"])
+def test_emission_terms_match_joint_projection(basis, frame):
+    # initial, cycling and closing emissions, both photon branches: the
+    # terms equal the stacked joint state projected on the photon's state
+    sched = replace(build_schedule(ProtocolConfig("ghz", 3)),
+                    frame_phases=(frame,) * 3)
+    emits = [op for op in compile_schedule(sched) if isinstance(op, EmitOp)]
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=(64, 8)) + 1j * rng.normal(size=(64, 8))
+    det = rng.random(64) < 0.5
+    z = MeasBasis.z()
+    for op in emits:
+        joint = (amps[:, op.domain] @ op.vdom.T).reshape(-1, 8, 2)
+        em = engine._emission(op, basis)
+        got = em.amplitudes([amps[:, k] for k in op.domain], det)
+        for branch, det_state, lost_state in (
+                (0, basis.plus_state(), z.plus_state()),
+                (1, basis.minus_state(), z.minus_state())):
+            want = np.where(det[:, None], joint @ det_state.conj(),
+                            joint @ lost_state.conj())
+            have = np.zeros_like(want)
+            for t, amp in zip(em.targets, got[branch]):
+                have[:, t] = amp
+            np.testing.assert_allclose(have, want, rtol=0, atol=1e-14)
+
+
 def test_record_batch_concat_guard():
     a = run_batch(ProtocolConfig("ghz", 2), NOISELESS,
                   [MeasBasis.z()] * 2, 10, seed=0)
@@ -353,3 +383,82 @@ def test_record_batch_concat_guard():
         a.concat(b)
     c = a.concat(a)
     assert c.n_shots == 20
+    with pytest.raises(ValueError, match="run periods"):
+        a.concat(replace(a, period=2 * a.period))
+
+
+# sha256 of run_batch's detected, outcomes, attempts and deltas, per case
+# of test_records_digest_pinned; a change to the kernels, the draw layout
+# or the op order that moves any record changes these
+RECORD_DIGESTS = {
+    "ghz6-quasi-static-stored":
+        "510eac5229d0d958af741825e1ebd8152904ae1d86ae29b58bcb4a8972bf3236",
+    "ghz6-quasi-static-abort":
+        "4a065f75615c1585139bb091727ef7692f7761d42b39fc9a893d1ad69882eb06",
+    "ghz6-per-cycle-stored":
+        "fbc9468a9da20434103a4471c70a5708eb6ea1a0aebfa1d458b84d6bfdd2e34d",
+    "ghz6-per-cycle-abort":
+        "9a197fa3396d194759eee3838cdaa5259a7803eac7d17106110b451fc4cd13c0",
+    "ghz12-quasi-static-stored":
+        "4a6b43fc71e5e352ed3c5464bf640cad2c330b83c2e14a9c71663456a031d24a",
+    "ghz12-quasi-static-abort":
+        "dca00d269032853c89740fea59b3ed1f93eb5e9ed9d46782ec8cd7695b2a824b",
+    "ghz12-per-cycle-stored":
+        "bbac8aec26a5e1c437fe0eef8f67e1a8412c6ea6cc0e4f09179c07c8b9feb62c",
+    "ghz12-per-cycle-abort":
+        "5bf25e493ab92f22adc99e74ba1e6466e4a3de0641a510d6577a664e917c32b6",
+    "cluster5-quasi-static-stored":
+        "bbe6d78f1366bdaacad11c7e69e575e065dd849f9a77c9def2ef4cf2b204a1aa",
+    "cluster5-quasi-static-abort":
+        "bdb3a9df9423825c0e6cfb1b924805f3f15fe781c20f13331eeb464be849a7ba",
+    "cluster5-per-cycle-stored":
+        "bcfd902479cbf49665ed860f75520a9024570ed41c07558341d21d01ff955609",
+    "cluster5-per-cycle-abort":
+        "d719bd9cbed0581679434279485b4eb78b6491a73b2076cda2cfdf5ee4487069",
+    "custom5-quasi-static-stored":
+        "fc5ad12a7a8a5a17956e5d4a9cbd62e4268784c10f1f906ba65f928faea7ece7",
+    "custom5-quasi-static-abort":
+        "70b9b1bdc928cd444b61b5dc89abb2e242fdce3e86c3313d7c4b3d679a1ceaff",
+    "custom5-per-cycle-stored":
+        "96a240aa8131fd5c1e87cb5f067c995ec74cb74d1b51e97aea994037912b30e2",
+    "custom5-per-cycle-abort":
+        "9865b0baabbf3530c9a9721e8b48051a203072d214724a575b55920059af50f5",
+    "coherence-quasi-static-stored":
+        "184eabf1f07ed4671bdd7b6da5ea8757eb8808ccc4c731c67948d95392d4861b",
+    "coherence-quasi-static-abort":
+        "f5a4d47a478dbf9d9d4a3c2ff96871e7745add0e334a0fae479c2ab350c5358a",
+    "coherence-per-cycle-stored":
+        "9f63cc670a6fc07f910f99dfda872a241fc0f9b64f0e1ab3ed2d27d0ccf7bad3",
+    "coherence-per-cycle-abort":
+        "aaf379a1d7f1769ba9e5b52d508b5348c155cdf8657be11aec348bcd324b901b",
+}
+
+
+def test_records_digest_pinned():
+    import hashlib
+
+    from photonchain.cli import operating_noise
+
+    cases = {
+        "ghz6": ProtocolConfig("ghz", 6),
+        "ghz12": ProtocolConfig("ghz", 12),
+        "cluster5": ProtocolConfig("cluster", 5),
+        "custom5": ProtocolConfig("custom", 5, thetas=(0.3, 1.1, 2.0, 0.7)),
+        "coherence": ProtocolConfig("coherence", 2, probe_delay=3e-4),
+    }
+    cyc = (MeasBasis.z(), MeasBasis.x(), MeasBasis.equator(0.7))
+    got = {}
+    for name, cfg in cases.items():
+        plan = [cyc[k % 3] for k in range(cfg.n_photons)]
+        for model in ("quasi-static", "per-cycle"):
+            for abort in (False, True):
+                # several chunks per call on either path
+                shots = 4 * CHUNK + 1 if abort else 2 * CHUNK + 3
+                b = run_batch(cfg, operating_noise(model), plan, shots,
+                              seed=7, abort_on_loss=abort)
+                h = hashlib.sha256()
+                for col in (b.detected, b.outcomes, b.attempts, b.deltas):
+                    h.update(np.ascontiguousarray(col).tobytes())
+                key = f"{name}-{model}-{'abort' if abort else 'stored'}"
+                got[key] = h.hexdigest()
+    assert got == RECORD_DIGESTS

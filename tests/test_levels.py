@@ -204,6 +204,25 @@ def test_rotating_frame_phases_delta_only():
     assert np.array_equal(rows[1], rot.phases(0.0))
 
 
+@pytest.mark.parametrize("flip_f2_sign", [True, False])
+@pytest.mark.parametrize("lab_frame", [False, True])
+def test_phases_equal_direct_exponential(lab_frame, flip_f2_sign):
+    # one exponential per |rate| and conjugates for the negative rates
+    # reproduce exp(-i rate s) bit for bit, for scalar and per-shot offsets
+    sched = build_schedule(ProtocolConfig("cluster", 4))
+    sched = replace(sched, steps=tuple(replace(s, lab_frame=lab_frame)
+                                       for s in sched.steps))
+    ops = [op for op in compile_schedule(sched, flip_f2_sign)
+           if isinstance(op, PrecessOp)]
+    offsets = (0.0, -3e-4, 2.5e-3,
+               np.random.default_rng(4).normal(0.0, 1e-3, 257))
+    for op in ops:
+        for delta in offsets:
+            scale = 1.0 + delta if lab_frame else delta
+            want = np.exp(-1j * np.multiply.outer(scale, op.rate))
+            assert np.array_equal(op.phases(delta), want)
+
+
 def test_negative_duration_rejected():
     sched = build_schedule(ProtocolConfig("ghz", 2))
     bad = replace(sched.steps[-1], duration=-1e-6)
