@@ -3,7 +3,9 @@
 Every estimator reads :class:`~photonchain.engine.RecordBatch` columns:
 one batch per measurement setting, or a sequence of batches for the
 multi-setting estimators.  Estimates carry a value, a 1-sigma standard
-error and the post-selected event count.
+error and the post-selected event count.  The full-detection
+estimators take their events from :func:`setting_events`, which checks
+the batch's basis plan against its measurement setting.
 
 Witness product terms (the (1+S)/2 factors of the fidelity bounds) are
 estimated per event -- the product observable is evaluated shot by shot
@@ -18,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .levels import MeasBasis, plan_matches, setting_plan
 
 
 class InsufficientDataError(RuntimeError):
@@ -70,31 +74,36 @@ class WitnessResult:
 
 
 # ---------------------------------------------------------------------------
-# record access
+# post-selection
 
-def _columns(batch):
-    """(bases, detected, outcomes) arrays of one record batch."""
-    return batch.bases, np.asarray(batch.detected), np.asarray(batch.outcomes)
+def setting_events(records, setting: str, n_photons: int, phi: float = 0.0,
+                   phi_tol: float = 0.0) -> np.ndarray:
+    """Outcomes of the full-detection events of a batch measured in one
+    setting (:func:`~photonchain.levels.setting_plan`), one row per event.
 
-
-def _setting_groups(records):
-    """(bases, detected, outcomes) of one batch or of each of a sequence."""
-    batches = [records] if hasattr(records, "outcomes") else list(records)
-    if not batches:
-        raise InsufficientDataError("empty record collection")
-    return [_columns(b) for b in batches]
-
-
-def _binomial_se(p: float, n: int) -> float:
-    return float(np.sqrt(max(p * (1.0 - p), 0.0) / n))
+    Every full-detection estimator reads its events here: a shot counts
+    only when every photon was detected.  Raises ``ValueError`` when the
+    batch's basis plan is not the setting's on ``n_photons`` photons (its
+    equator angles within ``phi_tol``) and :class:`InsufficientDataError`
+    when no shot detected every photon.
+    """
+    label = f"equator({phi})" if setting == "equator" else setting
+    if not plan_matches(records.bases, setting_plan(setting, n_photons, phi),
+                        phi_tol):
+        got = " ".join(b.code() for b in records.bases)
+        raise ValueError(f"expected {label} records on {n_photons} photons, "
+                         f"got [{got}]")
+    events = records.outcomes[records.full_detection]
+    if len(events) == 0:
+        raise InsufficientDataError(
+            f"no full-detection events in the {label} records")
+    return events
 
 
 def _mean_estimate(indicator: np.ndarray) -> Estimate:
     n = len(indicator)
-    if n == 0:
-        raise InsufficientDataError("zero post-selected events")
     p = float(indicator.mean())
-    return Estimate(p, _binomial_se(p, n), n)
+    return Estimate(p, float(np.sqrt(max(p * (1.0 - p), 0.0) / n)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -102,30 +111,14 @@ def _mean_estimate(indicator: np.ndarray) -> Estimate:
 
 def populations(records, n_photons: int) -> Estimate:
     """P_N: fraction of full-detection Z^N events with all outcomes equal."""
-    bases, det, out = _columns(records)
-    if len(bases) != n_photons:
-        raise ValueError("record width does not match n_photons")
-    if any(b.kind != "Z" for b in bases):
-        raise ValueError("populations needs Z-basis records on every photon")
-    full = det.all(axis=1)
-    o = out[full]
-    if o.shape[0] == 0:
-        raise InsufficientDataError("no full-detection events")
-    same = np.all(o == o[:, :1], axis=1)
-    return _mean_estimate(same)
+    o = setting_events(records, "z", n_photons)
+    return _mean_estimate(np.all(o == o[:, :1], axis=1))
 
 
 def parity(records, phi: float) -> Estimate:
     """Mean product of the N equator-basis outcomes at angle phi."""
-    bases, det, out = _columns(records)
-    for b in bases:
-        if b.kind != "E" or abs(b.phi - phi) > 1e-12:
-            raise ValueError(
-                f"parity(phi={phi}) needs Equator({phi}) on every photon")
-    full = det.all(axis=1)
-    o = out[full]
-    if o.shape[0] == 0:
-        raise InsufficientDataError("no full-detection events")
+    o = setting_events(records, "equator", len(records.bases), phi,
+                       phi_tol=1e-12)
     return _signed(np.prod(o.astype(np.int64), axis=1))
 
 
@@ -194,19 +187,8 @@ def ghz_witness(records_x, records_z, n_photons: int) -> WitnessResult:
     estimated per event: the first is P(X product = +1), the second is
     P(all Z outcomes equal) -- i.e. the population estimator.
     """
-    bx, dx, ox = _columns(records_x)
-    bz, dz, oz = _columns(records_z)
-    if any(b.kind != "E" or b.phi != 0.0 for b in bx):
-        raise ValueError("ghz_witness needs X^N records in the first slot")
-    if any(b.kind != "Z" for b in bz):
-        raise ValueError("ghz_witness needs Z^N records in the second slot")
-
-    fx = dx.all(axis=1)
-    x_ev = ox[fx]
-    fz = dz.all(axis=1)
-    z_ev = oz[fz]
-    if x_ev.shape[0] == 0 or z_ev.shape[0] == 0:
-        raise InsufficientDataError("a witness setting has no events")
+    x_ev = setting_events(records_x, "x", n_photons)
+    z_ev = setting_events(records_z, "z", n_photons)
 
     x_prod = np.prod(x_ev.astype(np.int64), axis=1)
     term1 = _mean_estimate(x_prod > 0)
@@ -233,15 +215,11 @@ def _signed(prod: np.ndarray) -> Estimate:
 # ---------------------------------------------------------------------------
 # cluster-state estimators
 
-def _stabilizer_pattern(k: int, n: int):
-    """0-based (slot, kind) requirements of S_k = Z_{k-1} X_k Z_{k+1}."""
-    window = []
-    if k >= 2:
-        window.append((k - 2, "Z"))
-    window.append((k - 1, "E"))
-    if k <= n - 1:
-        window.append((k, "Z"))
-    return window
+def _stabilizer_window(k: int, n: int) -> tuple:
+    """0-based slots of S_k = Z_{k-1} X_k Z_{k+1} and their bases."""
+    slots = [s for s in (k - 2, k - 1, k) if 0 <= s < n]
+    return slots, [MeasBasis.x() if s == k - 1 else MeasBasis.z()
+                   for s in slots]
 
 
 def stabilizers(records, n_photons: int) -> list:
@@ -252,31 +230,23 @@ def stabilizers(records, n_photons: int) -> list:
     (X on photon k, Z on the neighbours).  Only the window photons must
     be detected, not the whole string.
     """
-    groups = _setting_groups(records)
+    batches = [records] if hasattr(records, "outcomes") else list(records)
+    if not batches:
+        raise InsufficientDataError("empty record collection")
+    if any(len(b.bases) != n_photons for b in batches):
+        raise ValueError("record width does not match n_photons")
     out = []
     for k in range(1, n_photons + 1):
-        window = _stabilizer_pattern(k, n_photons)
+        slots, window = _stabilizer_window(k, n_photons)
         prods = []
-        for bases, det, outc in groups:
-            if len(bases) != n_photons:
-                raise ValueError("record width does not match n_photons")
-            ok = all(
-                (bases[slot].kind == kind)
-                and (kind != "E" or bases[slot].phi == 0.0)
-                for slot, kind in window)
-            if not ok:
+        for b in batches:
+            if not plan_matches([b.bases[s] for s in slots], window):
                 continue
-            slots = [slot for slot, _ in window]
-            sel = det[:, slots].all(axis=1)
-            if not np.any(sel):
-                continue
-            p = np.prod(outc[np.ix_(np.flatnonzero(sel), slots)]
-                        .astype(np.int64), axis=1)
-            prods.append(p)
-        if not prods:
-            out.append(None)
-            continue
-        out.append(_signed(np.concatenate(prods)))
+            sel = b.detected[:, slots].all(axis=1)
+            if np.any(sel):
+                prods.append(np.prod(b.outcomes[np.ix_(sel, slots)]
+                                     .astype(np.int64), axis=1))
+        out.append(_signed(np.concatenate(prods)) if prods else None)
     return out
 
 
@@ -300,40 +270,22 @@ def cluster_witness(records_odd, records_even,
     prod (1+S_k)/2 is estimated per event as the indicator that every
     stabilizer of that parity class reads +1.
     """
-    terms = []
-    settings = []
-    for parity_class, records in ((1, records_odd), (0, records_even)):
-        bases, det, outc = _columns(records)
-        if len(bases) != n_photons:
-            raise ValueError("record width does not match n_photons")
-        expected = ["E" if (k % 2 == parity_class) else "Z"
-                    for k in range(1, n_photons + 1)]
-        got = [b.kind for b in bases]
-        if got != expected:
-            raise ValueError(
-                f"setting mismatch: expected {''.join(expected)} pattern, "
-                f"got {''.join(got)}")
-        settings.append("".join("X" if g == "E" else "Z" for g in got))
-        full = det.all(axis=1)
-        ev = outc[full]
-        if ev.shape[0] == 0:
-            raise InsufficientDataError("a witness setting has no events")
-        all_plus = np.ones(ev.shape[0], dtype=bool)
-        for k in range(1, n_photons + 1):
-            if k % 2 != parity_class:
-                continue
-            slots = [s for s, _ in _stabilizer_pattern(k, n_photons)]
-            p = np.prod(ev[:, slots].astype(np.int64), axis=1)
-            all_plus &= p == 1
+    terms, settings = [], []
+    for first, setting, records in ((1, "alternating-odd", records_odd),
+                                    (2, "alternating-even", records_even)):
+        ev = setting_events(records, setting, n_photons)
+        settings.append("".join(b.code() for b in records.bases))
+        all_plus = np.ones(len(ev), dtype=bool)
+        for k in range(first, n_photons + 1, 2):
+            slots, _ = _stabilizer_window(k, n_photons)
+            all_plus &= np.prod(ev[:, slots].astype(np.int64), axis=1) == 1
         terms.append(_mean_estimate(all_plus))
 
     bound = terms[0].value + terms[1].value - 1.0
     se = float(np.hypot(terms[0].stderr, terms[1].stderr))
-    comps = {}
-    for i, est in enumerate(stabilizers([records_odd, records_even],
-                                        n_photons), start=1):
-        if est is not None:
-            comps[f"S{i}"] = est
+    comps = {f"S{k}": est for k, est in enumerate(
+        stabilizers([records_odd, records_even], n_photons), start=1)
+        if est is not None}
     return WitnessResult(
         Estimate(bound, se, terms[0].n_events + terms[1].n_events),
         settings_used=tuple(settings), components=comps)

@@ -31,6 +31,7 @@ from . import analysis as an
 from . import io as pio
 from .engine import (PLAN_SEED_STRIDE, NumericalIntegrityError,
                      coherence_probe, dd_scan, rate_benchmark, run_plans)
+from .levels import plan_matches, setting_plan
 from .noise import NoiseConfig, calibrate_field, raman_sigma_for_infidelity
 from .schedule import ProtocolConfig
 
@@ -97,7 +98,7 @@ def simulate(cfg: pio.RunConfig, path: Path) -> list:
         batches.append(batch)
         codes = "".join(b.code() if b.kind == "Z" else "E"
                         for b in batch.bases)
-        full = int(batch.detected.all(axis=1).sum())
+        full = np.count_nonzero(batch.full_detection)
         print(f"plan {len(batches)}/{len(plans)} [{codes}]: "
               f"{batch.n_shots} shots, {full} full-detection events")
     pio.write_records(path, batches, chash, ex.seed)
@@ -131,33 +132,33 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # analyze
 
-def _is_uniform(bases, kind, phi=None):
-    return all(b.kind == kind and (phi is None or b.phi == phi)
-               for b in bases)
-
-
-def _alternating(bases, parity_class):
-    return all((b.kind == "E" and b.phi == 0.0)
-               if (k % 2 == 0) == (parity_class == 1) else b.kind == "Z"
-               for k, b in enumerate(bases))
-
-
 def analyze_batches(all_batches, n: int) -> dict:
     """Everything computable from the given record groups.  Batches with
     identical basis plans, say one plan from several records files, are
-    merged first, so every estimator reads all of their events."""
+    merged first, so every estimator reads all of their events.
+
+    A batch enters an estimator when its plan is that estimator's setting
+    (:func:`levels.setting_plan`): Z^N the populations, Equator(phi)^N the
+    parity curve, X^N with Z^N the GHZ witness, the alternating pair the
+    cluster witness and its stabilizers.  The estimators themselves keep
+    only the full-detection events (:func:`analysis.setting_events`).
+    """
     summary: dict = {"n_photons": n}
     merged: dict = {}
     for b in all_batches:
         merged[b.bases] = (merged[b.bases].concat(b) if b.bases in merged
                            else b)
     batches = list(merged.values())
-    z = next((b for b in batches if _is_uniform(b.bases, "Z")), None)
-    x = next((b for b in batches if _is_uniform(b.bases, "E", 0.0)), None)
-    eq = {b.bases[0].phi: b for b in batches
-          if _is_uniform(b.bases, "E", b.bases[0].phi)}
-    odd = next((b for b in batches if _alternating(b.bases, 1)), None)
-    even = next((b for b in batches if _alternating(b.bases, 0)), None)
+
+    def find(setting):
+        plan = setting_plan(setting, n)
+        return next((b for b in batches if plan_matches(b.bases, plan)),
+                    None)
+
+    z, x = find("z"), find("x")
+    odd, even = find("alternating-odd"), find("alternating-even")
+    eq = {b.bases[0].phi: b for b in batches if plan_matches(
+        b.bases, setting_plan("equator", n, b.bases[0].phi))}
 
     p_est = c_est = None
     if z is not None:
@@ -181,10 +182,7 @@ def analyze_batches(all_batches, n: int) -> dict:
         w = an.cluster_witness(odd, even, n)
         summary["cluster_witness"] = {"bound": w.bound,
                                       "settings": list(w.settings_used)}
-        summary["stabilizers"] = {
-            f"S{k}": est for k, est in
-            enumerate(an.stabilizers([odd, even], n), start=1)
-            if est is not None}
+        summary["stabilizers"] = w.components
     return summary
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as crng
-from .levels import PUMPED, MeasBasis, Sublevel
+from .levels import PUMPED, MeasBasis, Sublevel, setting_plan
 from .noise import NoiseConfig
 from .schedule import (COHERENCE, DDSCAN, EmitOp, PrecessOp, ProtocolConfig,
                        PulseOp, PulseSchedule, PumpOp, ScatterOp,
@@ -58,6 +58,12 @@ class RecordBatch:
     @property
     def n_photons(self) -> int:
         return self.detected.shape[1]
+
+    @property
+    def full_detection(self) -> np.ndarray:
+        """(shots,) bool: the shots with every photon detected, the only
+        ones a post-selected estimator keeps."""
+        return self.detected.all(axis=1)
 
     def concat(self, other: "RecordBatch") -> "RecordBatch":
         if other.bases != self.bases:
@@ -408,11 +414,10 @@ def coherence_probe(delay: float, noise: NoiseConfig, shots: int, seed: int):
     if delay < 0:
         raise ValueError("delay must be non-negative")
     cfg = ProtocolConfig(COHERENCE, 2, probe_delay=delay)
-    bases = [MeasBasis.x(), MeasBasis.x()]
-    batch = run_batch(cfg, noise, bases, shots, seed, abort_on_loss=True)
-    full = batch.detected.all(axis=1)
-    o = batch.outcomes[full]
-    n_ev = int(full.sum())
+    batch = run_batch(cfg, noise, setting_plan("x", 2), shots, seed,
+                      abort_on_loss=True)
+    o = batch.outcomes[batch.full_detection]
+    n_ev = len(o)
     if n_ev == 0:
         return float("nan"), float("nan"), 0
     match = o[:, 0] == o[:, 1]
@@ -430,7 +435,7 @@ def parity_visibility_run(cfg, noise: NoiseConfig, shots: int, seed: int,
 
     n = cfg.n_photons
     phis = np.linspace(0.0, np.pi, 25)
-    plans = [[MeasBasis.equator(phi)] * n for phi in phis]
+    plans = [setting_plan("equator", n, phi) for phi in phis]
     batches = run_plans(cfg, noise, plans, max(shots // len(plans), 1), seed,
                         abort_on_loss=True, **run_batch_kwargs)
     # reduce each grid point as it arrives: at criterion-scale shot

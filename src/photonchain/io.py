@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .engine import RecordBatch
-from .levels import MeasBasis
+from .levels import MeasBasis, setting_plan
 from .noise import NoiseConfig
 from .schedule import KINDS, ProtocolConfig, TimingTable
 
@@ -68,19 +68,11 @@ class MeasurementPlan:
 
     def plans(self, n_photons: int) -> list[list[MeasBasis]]:
         """The basis plans this measurement expands to (one per run)."""
-        if self.preset == "z":
-            return [[MeasBasis.z()] * n_photons]
-        if self.preset == "x":
-            return [[MeasBasis.x()] * n_photons]
         if self.preset == "parity-grid":
-            return [[MeasBasis.equator(phi)] * n_photons
+            return [setting_plan("equator", n_photons, phi)
                     for phi in np.linspace(0.0, np.pi, self.phi_points)]
-        if self.preset == "alternating-odd":
-            return [[MeasBasis.x() if k % 2 == 0 else MeasBasis.z()
-                     for k in range(n_photons)]]
-        if self.preset == "alternating-even":
-            return [[MeasBasis.z() if k % 2 == 0 else MeasBasis.x()
-                     for k in range(n_photons)]]
+        if self.preset != "custom":
+            return [setting_plan(self.preset, n_photons)]
         plan = [MeasBasis.from_code(c) for c in self.bases]
         if len(plan) != n_photons:
             raise ConfigError(

@@ -12,8 +12,8 @@ Joint atom+photon vectors have 16 components indexed ``atom * 2 + photon``
 with photon 0 = R, 1 = L.
 
 This module holds the physical constants every simulator shares: the
-Larmor phase rates, the two-level Raman rotation, the emission table and
-the measurement bases.  The step semantics built from them live in the
+Larmor phase rates, the two-level Raman rotation, the emission table, the
+measurement bases and the basis plan of each measurement setting.  The step semantics built from them live in the
 compiled schedule (:func:`photonchain.schedule.compile_schedule`).
 """
 
@@ -135,6 +135,30 @@ class MeasBasis:
         if code.startswith("E:"):
             return cls.equator(float(code[2:]))
         raise ValueError(f"unknown basis code {code!r}")
+
+
+# measurement setting -> the per-photon pattern its basis plan repeats
+_SETTINGS = {"z": "Z", "x": "X", "equator": "E",
+             "alternating-odd": "XZ", "alternating-even": "ZX"}
+
+
+def setting_plan(setting: str, n: int,
+                 phi: float = 0.0) -> list[MeasBasis]:
+    """The basis plan of a measurement setting on ``n`` photons: "z"
+    (Z^N), "x" (X^N), "equator" (Equator(phi)^N), "alternating-odd"
+    (XZXZ..., X on the odd photons) or "alternating-even" (ZXZX...)."""
+    bases = {"Z": MeasBasis.z(), "X": MeasBasis.x(),
+             "E": MeasBasis.equator(phi)}
+    pattern = _SETTINGS[setting]
+    return [bases[pattern[k % len(pattern)]] for k in range(n)]
+
+
+def plan_matches(bases, plan, phi_tol: float = 0.0) -> bool:
+    """Whether ``bases`` is ``plan``: the same length and basis kinds, and
+    every equator angle within ``phi_tol``."""
+    return len(bases) == len(plan) and all(
+        b.kind == p.kind and (b.kind == "Z" or abs(b.phi - p.phi) <= phi_tol)
+        for b, p in zip(bases, plan))
 
 
 def rotation_matrix(ia: int, ib: int, theta: float,

@@ -56,11 +56,6 @@ class DenseState:
         """Amplitudes as an (8, 2^N) matrix."""
         return self.amps.reshape(8, -1)
 
-    def atom_purity(self) -> float:
-        m = self.register_matrix()
-        rho = m @ m.conj().T
-        return float(np.real(np.trace(rho @ rho)))
-
     def photon_register(self) -> np.ndarray:
         """Photon-factor state vector; requires a disentangled atom."""
         m = self.register_matrix()
@@ -112,10 +107,6 @@ class CanonicalTarget:
                 s[k] = "Z"
             gens.append("".join(s))
         return gens
-
-
-def ghz_state(n: int) -> np.ndarray:
-    return CanonicalTarget("ghz", n).vector()
 
 
 def cluster_state(n: int) -> np.ndarray:
@@ -206,12 +197,8 @@ def outcome_distribution(state: DenseState, bases) -> np.ndarray:
     """
     if len(bases) != state.n_photons:
         raise ValueError("one basis per photon required")
-    amps = state.amps
-    for k, basis in enumerate(bases):
-        amps = np.tensordot(basis_rotation(basis), amps, axes=(1, 1 + k))
-        amps = np.moveaxis(amps, 0, 1 + k)
-    probs = np.sum(np.abs(amps) ** 2, axis=0)
-    return probs.reshape(-1)
+    return sum(register_distribution(row, bases)
+               for row in state.register_matrix())
 
 
 def register_distribution(psi: np.ndarray, bases) -> np.ndarray:

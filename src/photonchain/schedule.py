@@ -164,9 +164,6 @@ class PulseSchedule:
     def total_duration(self) -> float:
         return sum(s.duration for s in self.steps)
 
-    def cycle_duration(self, cycle: int) -> float:
-        return sum(s.duration for s in self.steps if s.cycle == cycle)
-
 
 _L11 = Sublevel(1, 1).index
 _L1M1 = Sublevel(1, -1).index

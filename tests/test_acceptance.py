@@ -301,6 +301,7 @@ def ghz_decay():
     return decay_fit(GHZ_NS, fids), fids
 
 
+@pytest.mark.slow
 def test_criterion_6_ghz_decay(capsys, ghz_decay):
     fit, _ = ghz_decay
     slope = fit.slope.value
@@ -310,6 +311,7 @@ def test_criterion_6_ghz_decay(capsys, ghz_decay):
            f"slope {100 * slope:.2f}%/photon, 50% crossing {crossing:.1f}")
 
 
+@pytest.mark.slow
 def test_criterion_7_cluster_vs_ghz(capsys, ghz_decay):
     ghz_fit, _ = ghz_decay
     ns = (2, 3, 4, 5, 6)

@@ -281,3 +281,14 @@ def test_parity_curve_builder():
     assert len(curve.points) == 9
     fit = fit_coherence(curve, 2)
     assert fit.amplitude.value == pytest.approx(1.0, abs=0.05)
+
+
+def test_cluster_witness_refuses_equator_off_x():
+    # Equator(0.9) on the X slots is neither alternating setting: the
+    # witness must refuse it rather than read it as XZXZ... / ZXZX...
+    n = 4
+    odd, even = ([MeasBasis.equator(0.9) if b.kind == "E" else b
+                  for b in alternating(n, c)] for c in (1, 0))
+    with pytest.raises(ValueError):
+        cluster_witness(cluster_batch(n, odd, shots=500),
+                        cluster_batch(n, even, shots=500, seed=1), n)

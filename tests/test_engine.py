@@ -219,22 +219,28 @@ def test_loss_marginals():
 
 def test_abort_on_loss_equivalent_for_postselection():
     # abort_on_loss computes each precession's phase factors afresh, the
-    # full run reuses them within a chunk: the per-cycle cluster pins the
-    # reuse against the fresh form
+    # full run reuses them within a chunk (per cycle under per-cycle field
+    # noise).  Every abort row is the full row cut at the shot's first
+    # undetected slot: equal up to and including that slot, zero after it
     for cfg, noise in (
             (ProtocolConfig("ghz", 4), NoiseConfig(eta0=0.5, b_sigma=1e-3)),
             (ProtocolConfig("cluster", 5),
-             NoiseConfig(eta0=0.8, raman_sigma=0.05, b_sigma=1e-3,
-                         b_model="per-cycle"))):
-        bases = [MeasBasis.equator(0.5)] * cfg.n_photons
-        a = run_batch(cfg, noise, bases, 20000, seed=13)
-        b = run_batch(cfg, noise, bases, 20000, seed=13, abort_on_loss=True)
-        # identical shots are detected up to each shot's first loss, and
-        # the outcomes agree wherever both evolved
-        full_a = a.detected.all(axis=1)
-        full_b = b.detected.all(axis=1)
-        assert np.array_equal(full_a, full_b)
-        assert np.array_equal(a.outcomes[full_a], b.outcomes[full_b])
+             NoiseConfig(eta0=0.8, raman_sigma=0.05, b_sigma=1e-3))):
+        n = cfg.n_photons
+        bases = [MeasBasis.equator(0.5)] * n
+        for b_model in ("quasi-static", "per-cycle"):
+            noise = replace(noise, b_model=b_model)
+            a = run_batch(cfg, noise, bases, 20000, seed=13)
+            b = run_batch(cfg, noise, bases, 20000, seed=13,
+                          abort_on_loss=True)
+            first_loss = np.where(a.full_detection, n,
+                                  np.argmin(a.detected, axis=1))
+            kept = np.arange(n) <= first_loss[:, None]
+            assert not kept.all() and kept[:, 1:].any()
+            assert np.array_equal(b.detected, kept & a.detected)
+            assert np.array_equal(b.outcomes, np.where(kept, a.outcomes, 0))
+            assert np.array_equal(b.attempts, a.attempts)
+            assert np.array_equal(b.deltas, a.deltas)
 
 
 def test_basis_plan_length_checked():
