@@ -31,6 +31,10 @@ _SCAT_A = Sublevel(2, 1).index
 _SCAT_B = Sublevel(2, -1).index
 
 CHUNK = 1 << 13
+# p_emit <= |state|^2 <= (1 + 1e-9)^2 within the norm check's tolerance,
+# so a detection uniform u >= eta (1 + LOSS_MARGIN) implies u >= eta p_emit:
+# that photon is lost whatever the state
+LOSS_MARGIN = 1e-6
 RATE_BLOCK = 1 << 17         # runs per block of rate_benchmark
 PLAN_SEED_STRIDE = 1000003   # distinct stream block per basis plan
 
@@ -41,7 +45,12 @@ class NumericalIntegrityError(RuntimeError):
 
 @dataclass
 class RecordBatch:
-    """Column-wise shot records, one row per shot."""
+    """Column-wise shot records, one row per shot.
+
+    The (shots, N) arrays that :func:`run_batch` returns are column-major
+    (Fortran order), so a photon's column and a row reduction such as
+    :attr:`full_detection` read contiguous memory.
+    """
 
     bases: tuple[MeasBasis, ...]
     detected: np.ndarray    # (shots, N) bool
@@ -143,6 +152,12 @@ def _simulate_chunk(ops: tuple, n_att: int, noise: NoiseConfig, seed: int,
     <= 2 source and <= 2 target levels: it evaluates the non-zero entries
     of ``vdom`` on the source columns, collapses and renormalises over
     the target columns and writes them into a zeroed state.
+
+    With ``abort_on_loss`` each emission also draws the next slot's
+    detection uniforms for the shots it keeps and drops those that are
+    lost whatever their state (``u >= eta (1 + LOSS_MARGIN)``) before
+    their next cycle is evolved; the next emission reuses the uniforms.
+    A dropped shot's cells from that slot on keep their zeros.
     """
     shots = out.run_ids[a:b].astype(np.uint64)
     detected, outcomes = out.detected[a:b], out.outcomes[a:b]
@@ -169,6 +184,8 @@ def _simulate_chunk(ops: tuple, n_att: int, noise: NoiseConfig, seed: int,
     # cycling stage; drop them from state evolution right away
     cur = np.setdiff1d(np.arange(b - a), miss, assume_unique=True)
     amps = np.zeros((len(cur), 8), dtype=complex)
+    n_slots = detected.shape[1]
+    u_det = None   # abort_on_loss: the next slot's drawn detection uniforms
 
     def field(cycle):   # drawn for the still-active shots only
         return noise.b_sigma * crng.normal(
@@ -235,8 +252,8 @@ def _simulate_chunk(ops: tuple, n_att: int, noise: NoiseConfig, seed: int,
             if slot == 0:
                 det = emitted = np.ones(len(cur), dtype=bool)
             else:
-                u = crng.uniform(seed, shots[cur],
-                                 crng.slot_draw(slot, crng.SLOT_DETECT))
+                u = u_det if u_det is not None else crng.uniform(
+                    seed, shots[cur], crng.slot_draw(slot, crng.SLOT_DETECT))
                 det = u < p_emit * eta
                 emitted = u < p_emit
             u_o = crng.uniform(seed, shots[cur],
@@ -267,8 +284,13 @@ def _simulate_chunk(ops: tuple, n_att: int, noise: NoiseConfig, seed: int,
             outcomes[cur, slot] = np.where(det, np.where(plus, 1, -1), 0)
 
             if abort_on_loss:
-                cur = cur[det]
-                amps = amps[det]
+                cur, amps = cur[det], amps[det]
+                if slot + 1 < n_slots:
+                    u_det = crng.uniform(
+                        seed, shots[cur],
+                        crng.slot_draw(slot + 1, crng.SLOT_DETECT))
+                    live = u_det < eta * (1.0 + LOSS_MARGIN)
+                    cur, amps, u_det = cur[live], amps[live], u_det[live]
 
     if len(cur):
         drift = np.abs(np.linalg.norm(amps, axis=1) - 1.0)
@@ -299,8 +321,9 @@ def _run_range(cfg, noise: NoiseConfig, basis_plan, seed: int, lo: int,
                 else op for op in compile_schedule(sched, flip_f2_sign))
     size = hi - lo
     try:
-        out = RecordBatch(tuple(basis_plan), np.zeros((size, n), dtype=bool),
-                          np.zeros((size, n), dtype=np.int8),
+        out = RecordBatch(tuple(basis_plan),
+                          np.zeros((size, n), dtype=bool, order="F"),
+                          np.zeros((size, n), dtype=np.int8, order="F"),
                           np.empty(size, dtype=np.int16), np.zeros(size),
                           np.arange(lo, hi, dtype=np.int64), run_period(sched))
     except MemoryError as exc:
@@ -332,8 +355,10 @@ def run_batch(cfg, noise: NoiseConfig, basis_plan, shots: int, seed: int,
 
     ``cfg`` may be a :class:`ProtocolConfig` or a prebuilt
     :class:`PulseSchedule`.  With ``abort_on_loss`` a shot stops evolving
-    at its first undetected photon (valid whenever the downstream analysis
-    post-selects on full detection; later slots stay unmeasured).
+    at its first undetected photon, or before that photon's cycle when its
+    detection draw already rules the photon out (valid whenever the
+    downstream analysis post-selects on full detection; later slots stay
+    unmeasured).  ``detected`` and ``outcomes`` are column-major.
     """
     return _run_range(cfg, noise, basis_plan, seed, 0, shots, threads,
                       abort_on_loss, flip_f2_sign)
