@@ -141,17 +141,67 @@ def _abs2(x):
     return x.real * x.real + x.imag * x.imag
 
 
-def _simulate_chunk(ops: tuple, n_att: int, noise: NoiseConfig, seed: int,
-                    out: RecordBatch, a: int, b: int,
-                    abort_on_loss: bool) -> None:
-    """Evolve the shots of rows ``a .. b-1`` of ``out`` and write their
-    records into those rows.
+def _occupancy(ops: tuple) -> list:
+    """``occ[i]``: the levels a shot's state can occupy when op ``i``
+    starts (``occ[len(ops)]``: after the last op).
+
+    A pump leaves {F=2, mF=0}, a pulse on (a, b) adds both levels when
+    either is occupied, a scatter point adds the two scatter levels and an
+    emission leaves its targets plus the occupied levels outside its
+    domain.  Every other level holds an exact zero, so no op touches it.
+    """
+    occ = [frozenset()]
+    for op in ops:
+        levels = occ[-1]
+        if isinstance(op, PumpOp):
+            levels = frozenset((PUMPED,))
+        elif isinstance(op, PulseOp):
+            for ia, ib, *_ in op.pulses:
+                if ia in levels or ib in levels:
+                    levels = levels | {ia, ib}
+        elif isinstance(op, ScatterOp):
+            levels = levels | {_SCAT_A, _SCAT_B}
+        elif isinstance(op, _Emission):
+            levels = frozenset(op.targets) | levels.difference(op.domain)
+        occ.append(levels)
+    return occ
+
+
+def _precess(amps: np.ndarray, op: PrecessOp, levels, offsets: np.ndarray,
+             cache: dict) -> None:
+    """Multiply the rows of ``amps`` named by ``levels`` (entries of
+    ``op.levels``) by their Larmor factors, bit for bit the entries of
+    ``op.phases(offsets)``.
+
+    ``cache`` holds the exponentials already taken for these shots and
+    offsets, one per (magnitude, frame), so a level pair at +/-r and
+    every window with the same magnitude share one.
+    """
+    for level, col, neg in levels:
+        key = (op.mags[col], op.lab_frame)
+        e = cache.get(key)
+        if e is None:
+            scale = 1.0 + offsets if op.lab_frame else offsets
+            e = cache[key] = np.exp(-1j * (scale * op.mags[col]))
+        amps[level] *= e.conj() if neg else e
+
+
+def _evolve(ops: tuple, touch: tuple, n_att: int, noise: NoiseConfig,
+            seed: int, out: RecordBatch, a: int, b: int,
+            abort_on_loss: bool):
+    """Evolve the shots of rows ``a .. b-1`` of ``out``, write their
+    records into those rows and yield ``(i, cur, amps)`` after each op
+    ``i``: the chunk rows still evolving and their (8, shots) state.
 
     ``ops`` is the compiled schedule with each emission contracted with
-    its slot's basis (:func:`_emission`).  An emission touches only its
-    <= 2 source and <= 2 target levels: it evaluates the non-zero entries
-    of ``vdom`` on the source columns, collapses and renormalises over
-    the target columns and writes them into a zeroed state.
+    its slot's basis (:func:`_emission`) and ``touch`` the levels each op
+    reads (:func:`_compile`).  The state is level-major, so each level's
+    amplitudes are contiguous, and only the occupied levels are touched:
+    a precession multiplies the occupied levels with a non-zero rate (a
+    window with none is not run), and an emission evaluates the non-zero
+    entries of ``vdom`` on its source rows, collapses and renormalises
+    over its target rows and writes them, and the not-emitted remainder,
+    into a zeroed state.
 
     With ``abort_on_loss`` each emission also draws the next slot's
     detection uniforms for the shots it keeps and drops those that are
@@ -183,40 +233,32 @@ def _simulate_chunk(ops: tuple, n_att: int, noise: NoiseConfig, seed: int,
     # void shots (no first photon in n_att attempts) never enter the
     # cycling stage; drop them from state evolution right away
     cur = np.setdiff1d(np.arange(b - a), miss, assume_unique=True)
-    amps = np.zeros((len(cur), 8), dtype=complex)
+    amps = np.zeros((8, len(cur)), dtype=complex)
     n_slots = detected.shape[1]
     u_det = None   # abort_on_loss: the next slot's drawn detection uniforms
 
-    def field(cycle):   # drawn for the still-active shots only
-        return noise.b_sigma * crng.normal(
-            seed, shots[cur], crng.slot_draw(cycle, crng.SLOT_FIELD))
+    # the active shots' field offsets (of the current cycle under
+    # per-cycle noise) and the exponentials taken for them, kept until a
+    # new cycle's sample or an abort_on_loss emission replaces the shots
+    cycle, offsets, store = 0, deltas[cur], {}
 
-    # each distinct window's phase factors, kept while the active shots
-    # stay the same: always, unless abort_on_loss drops them at emissions
-    store = None if abort_on_loss else {}
-    cycle, offsets = None, deltas[cur]
-
-    for op in ops:
+    for i, op in enumerate(ops):
         if len(cur) == 0:
-            break
+            return
         if isinstance(op, PrecessOp):
             # without a field offset the co-rotating frame has no phase
-            if not (op.lab_frame or noise.b_sigma > 0.0):
-                continue
-            if store is None:
-                amps *= op.phases(field(op.cycle) if per_cycle
-                                  else deltas[cur])
-                continue
-            if per_cycle and op.cycle != cycle:
-                # a past cycle's sample never comes back
-                cycle, offsets, store = op.cycle, field(op.cycle), {}
-            if op.key not in store:
-                store[op.key] = op.phases(offsets)
-            amps *= store[op.key]
+            if touch[i] and (op.lab_frame or noise.b_sigma > 0.0):
+                if per_cycle and op.cycle != cycle:
+                    # a past cycle's sample never comes back
+                    cycle, store = op.cycle, {}
+                    offsets = noise.b_sigma * crng.normal(
+                        seed, shots[cur], crng.slot_draw(cycle,
+                                                         crng.SLOT_FIELD))
+                _precess(amps, op, touch[i], offsets, store)
 
         elif isinstance(op, PumpOp):
             amps[:] = 0.0
-            amps[:, PUMPED] = 1.0
+            amps[PUMPED] = 1.0
 
         elif isinstance(op, PulseOp):
             for (ia, ib, theta, phase, draw) in op.pulses:
@@ -226,28 +268,28 @@ def _simulate_chunk(ops: tuple, n_att: int, noise: NoiseConfig, seed: int,
                 c = np.cos(theta / 2.0)
                 s = -1j * np.sin(theta / 2.0)
                 ep = np.exp(1j * phase)
-                va = amps[:, ia].copy()
-                vb = amps[:, ib]
-                amps[:, ia] = c * va + s * np.conj(ep) * vb
-                amps[:, ib] = s * ep * va + c * vb
+                va = amps[ia].copy()
+                vb = amps[ib]
+                amps[ia] = c * va + s * np.conj(ep) * vb
+                amps[ib] = s * ep * va + c * vb
 
         elif isinstance(op, ScatterOp):
             if noise.closing_scatter_p > 0.0:
                 u = crng.uniform(seed, shots[cur], crng.SCATTER_DECISION)
-                hit = u < noise.closing_scatter_p
-                if np.any(hit):
+                hit = np.flatnonzero(u < noise.closing_scatter_p)
+                if len(hit):
                     u1 = crng.uniform(seed, shots[cur[hit]], crng.SCATTER_POP)
                     u2 = crng.uniform(seed, shots[cur[hit]],
                                       crng.SCATTER_PHASE)
-                    amps[hit] = 0.0
-                    amps[hit, _SCAT_A] = np.sqrt(u1)
-                    amps[hit, _SCAT_B] = (np.sqrt(1.0 - u1)
+                    amps[:, hit] = 0.0
+                    amps[_SCAT_A, hit] = np.sqrt(u1)
+                    amps[_SCAT_B, hit] = (np.sqrt(1.0 - u1)
                                           * np.exp(2j * np.pi * u2))
 
         elif isinstance(op, _Emission):
             slot = op.slot
-            src = [amps[:, k] for k in op.domain]
-            p_emit = sum(_abs2(col) for col in src)
+            src = [amps[k] for k in op.domain]
+            p_emit = sum(_abs2(row) for row in src)
 
             if slot == 0:
                 det = emitted = np.ones(len(cur), dtype=bool)
@@ -267,38 +309,93 @@ def _simulate_chunk(ops: tuple, n_att: int, noise: NoiseConfig, seed: int,
             chosen = [np.where(plus, ap, am) for ap, am in zip(*branches)]
             nrm = np.sqrt(sum(_abs2(amp) for amp in chosen))
             nrm = np.where(nrm > 0, nrm, 1.0)
-            new = np.zeros_like(amps)
-            for t, amp in zip(op.targets, chosen):
-                new[:, t] = amp / nrm
-
-            # not emitted: the out-of-domain remainder, renormalised
-            stay = ~emitted
-            if np.any(stay):
-                rest = amps[stay]
-                rest[:, op.domain] = 0.0
-                new[stay] = rest / np.sqrt(
-                    np.maximum(1.0 - p_emit[stay], 1e-300))[:, None]
-            amps = new
 
             detected[cur, slot] = det
             outcomes[cur, slot] = np.where(det, np.where(plus, 1, -1), 0)
 
             if abort_on_loss:
-                cur, amps = cur[det], amps[det]
+                # keep the detected shots that may detect the next photon
+                # (a kept shot was emitted, so no remainder is kept)
+                keep = np.flatnonzero(det)
                 if slot + 1 < n_slots:
                     u_det = crng.uniform(
-                        seed, shots[cur],
+                        seed, shots[cur[keep]],
                         crng.slot_draw(slot + 1, crng.SLOT_DETECT))
                     live = u_det < eta * (1.0 + LOSS_MARGIN)
-                    cur, amps, u_det = cur[live], amps[live], u_det[live]
+                    keep, u_det = keep[live], u_det[live]
+                cur, offsets, store = cur[keep], offsets[keep], {}
+                chosen, nrm = [amp[keep] for amp in chosen], nrm[keep]
 
-    if len(cur):
-        drift = np.abs(np.linalg.norm(amps, axis=1) - 1.0)
-        if np.any(~(drift <= 1e-9)):    # a NaN norm fails too
-            worst = np.argmax(drift)    # the first NaN, if any
-            raise NumericalIntegrityError(
-                f"state norm drifted by {drift[worst]} (seed {seed}, run "
-                f"{out.run_ids[a + cur[worst]]})")
+            new = np.zeros((8, len(cur)), dtype=complex)
+            for t, amp in zip(op.targets, chosen):
+                new[t] = amp / nrm
+
+            # not emitted: the out-of-domain remainder, renormalised
+            stay = np.flatnonzero(~emitted) if not abort_on_loss else ()
+            if len(stay):
+                den = np.sqrt(np.maximum(1.0 - p_emit[stay], 1e-300))
+                for t in op.targets:
+                    new[t, stay] = 0.0
+                for level in touch[i]:
+                    new[level, stay] = amps[level, stay] / den
+            amps = new
+
+        yield i, cur, amps
+
+
+def _compile(sched: PulseSchedule, basis_plan, flip_f2_sign: bool):
+    """The ops the engine runs, each emission contracted with its slot's
+    basis, and the levels each op touches, from their :func:`_occupancy`:
+    a precession's occupied levels with a non-zero rate (entries of
+    ``op.levels``), an emission's occupied levels outside its domain (the
+    not-emitted remainder), and nothing for any other op."""
+    ops = tuple(_emission(op, basis_plan[op.slot]) if isinstance(op, EmitOp)
+                else op for op in compile_schedule(sched, flip_f2_sign))
+    touch = tuple(
+        tuple(lv for lv in op.levels if lv[0] in occ)
+        if isinstance(op, PrecessOp) else
+        tuple(sorted(occ.difference(op.domain.tolist())))
+        if isinstance(op, _Emission) else ()
+        for op, occ in zip(ops, _occupancy(ops)))
+    return ops, touch
+
+
+_OP_KINDS = {PrecessOp: "precess", PumpOp: "pump", PulseOp: "pulse",
+             ScatterOp: "scatter", _Emission: "emit"}
+
+
+def _simulate_chunk(ops: tuple, touch: tuple, n_att: int, noise: NoiseConfig,
+                    seed: int, out: RecordBatch, a: int, b: int,
+                    abort_on_loss: bool) -> None:
+    """Run :func:`_evolve` over rows ``a .. b-1`` of ``out`` and check the
+    norm of every shot still evolving at the end.
+
+    A drifted norm replays the worst shot alone with a norm check after
+    each op, and the error names the first op that broke it.
+    """
+    cur = ()
+    for _, cur, amps in _evolve(ops, touch, n_att, noise, seed, out, a, b,
+                                abort_on_loss):
+        pass
+    if not len(cur):
+        return
+    drift = np.abs(np.linalg.norm(amps, axis=0) - 1.0)
+    if np.all(drift <= 1e-9):    # a NaN norm fails too
+        return
+    worst = np.argmax(drift)    # the first NaN, if any
+    row = a + cur[worst]
+    msg = (f"state norm drifted by {drift[worst]} (seed {seed}, run "
+           f"{out.run_ids[row]})")
+    for i, _, amps in _evolve(ops, touch, n_att, noise, seed, out, row,
+                              row + 1, abort_on_loss):
+        if not abs(np.linalg.norm(amps) - 1.0) <= 1e-9:
+            op = ops[i]
+            where = (f"slot {op.slot}" if isinstance(op, _Emission) else
+                     "cycle " + str(sum(isinstance(o, _Emission)
+                                        for o in ops[:i])))
+            msg += f" after op {i} ({_OP_KINDS[type(op)]}, {where})"
+            break
+    raise NumericalIntegrityError(msg)
 
 
 def _run_range(cfg, noise: NoiseConfig, basis_plan, seed: int, lo: int,
@@ -317,8 +414,7 @@ def _run_range(cfg, noise: NoiseConfig, basis_plan, seed: int, lo: int,
     n_att = sched.max_first_attempts
     if n_att > crng.FIELD_DRAW:
         raise ValueError("max_first_attempts exceeds the reserved draw block")
-    ops = tuple(_emission(op, basis_plan[op.slot]) if isinstance(op, EmitOp)
-                else op for op in compile_schedule(sched, flip_f2_sign))
+    ops, touch = _compile(sched, basis_plan, flip_f2_sign)
     size = hi - lo
     try:
         out = RecordBatch(tuple(basis_plan),
@@ -330,12 +426,12 @@ def _run_range(cfg, noise: NoiseConfig, basis_plan, seed: int, lo: int,
         raise ValueError(f"records of {size} shots x {n} photons do not fit "
                          "in memory") from exc
 
-    # an abort_on_loss chunk keeps no phase factors and thins out at every
-    # emission, so its per-op overhead, not its memory, sets its size
+    # an abort_on_loss chunk thins out at every emission, so its per-op
+    # overhead, not its memory, sets its size
     chunk = CHUNK * 4 if abort_on_loss else CHUNK
 
     def work(a):
-        _simulate_chunk(ops, n_att, noise, seed, out, a,
+        _simulate_chunk(ops, touch, n_att, noise, seed, out, a,
                         min(a + chunk, size), abort_on_loss)
 
     starts = range(0, size, chunk)

@@ -22,8 +22,9 @@ from photonchain.levels import MeasBasis
 from photonchain.noise import NoiseConfig, calibrate_field, coherence_envelope
 from photonchain.oracle import (basis_observable, dense_run,
                                 outcome_distribution, product_expectation)
-from photonchain.schedule import (EmitOp, ProtocolConfig, build_schedule,
-                                  compile_schedule, run_period)
+from photonchain.schedule import (EmitOp, PrecessOp, ProtocolConfig, PulseOp,
+                                  ScatterOp, build_schedule, compile_schedule,
+                                  run_period)
 
 NOISELESS = NoiseConfig()
 
@@ -401,6 +402,129 @@ def test_nan_norm_names_seed_and_run():
                  seed=31, shot_index=777)
 
 
+@pytest.mark.parametrize("draw,where", [
+    (crng.slot_draw(2, crng.SLOT_PULSE0 + 3 * crng.SLOT_PULSE_STRIDE),
+     "pulse, cycle 2"),
+    (crng.slot_draw(2, crng.SLOT_FIELD), "precess, cycle 2"),
+    (crng.SCATTER_POP, "scatter, cycle 3"),
+], ids=["pulse", "precess", "scatter"])
+def test_norm_error_names_the_op(monkeypatch, draw, where):
+    # one NaN draw of one shot breaks its norm at one op: a Raman angle, a
+    # per-cycle field sample or a scatter population.  The replay of the
+    # worst shot names that op by its index in the compiled schedule
+    cfg = ProtocolConfig("ghz", 4)
+    kind = where.split(",")[0]
+    # a scatter replaces the state, so only the scatter case scatters
+    noise = NoiseConfig(raman_sigma=0.01, b_sigma=1e-3, b_model="per-cycle",
+                        closing_scatter_p=1.0 if kind == "scatter" else 0.0)
+    index = next(
+        i for i, op in enumerate(compile_schedule(build_schedule(cfg)))
+        if kind == "pulse" and isinstance(op, PulseOp)
+        and draw in [p[4] for p in op.pulses]
+        or kind == "precess" and isinstance(op, PrecessOp) and op.cycle == 2
+        or kind == "scatter" and isinstance(op, ScatterOp))
+    real = {"normal": crng.normal, "uniform": crng.uniform}
+
+    def spoiled(name):
+        def draws(seed, shot, d):
+            x = real[name](seed, shot, d)
+            if d == draw:
+                x[np.asarray(shot) == 4321] = np.nan
+            return x
+        return draws
+
+    for name in real:
+        monkeypatch.setattr(crng, name, spoiled(name))
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NumericalIntegrityError,
+            match=rf"\(seed 3, run 4321\) after op {index} \({where}\)$"):
+        run_batch(cfg, noise, [MeasBasis.x()] * 4, CHUNK + 5000, seed=3)
+
+
+OCCUPANCY_CASES = {
+    "ghz": ProtocolConfig("ghz", 4),
+    "cluster": ProtocolConfig("cluster", 4),
+    "custom": ProtocolConfig("custom", 4, thetas=(0.3, 1.1, 2.0)),
+    "coherence": ProtocolConfig("coherence", 2, probe_delay=3e-4),
+    "ddscan": ProtocolConfig("ddscan", 4, dd_tau=4e-5),
+}
+
+
+def _bare_scatter_point():
+    """GHZ-3 whose closing transfer fires no pulse: only its scatter point
+    puts amplitude on the closing emission's levels."""
+    sched = build_schedule(ProtocolConfig("ghz", 3))
+    return replace(sched, steps=tuple(
+        replace(s, pulses=()) if s.scatter_point else s for s in sched.steps))
+
+
+@pytest.mark.parametrize("flip", [True, False], ids=["flip", "noflip"])
+@pytest.mark.parametrize("scatter", [0.0, 0.3], ids=["noscatter", "scatter"])
+@pytest.mark.parametrize("kind", [*OCCUPANCY_CASES, "bare-scatter"])
+def test_occupancy_holds_every_amplitude(kind, scatter, flip):
+    # every level with non-zero amplitude after op i, in the engine and in
+    # the dense oracle, lies in the occupancy the engine works from; a
+    # level outside it would be skipped by precessions and emissions
+    sched = (_bare_scatter_point() if kind == "bare-scatter"
+             else build_schedule(OCCUPANCY_CASES[kind]))
+    n = sched.n_photons
+    plan = [MeasBasis.x(), MeasBasis.equator(0.7)] * (n // 2) \
+        + [MeasBasis.z()] * (n % 2)
+    ops, touch = engine._compile(sched, plan, flip)
+    occ = engine._occupancy(ops)
+    noise = NoiseConfig(eta0=0.7, raman_sigma=0.1, closing_scatter_p=scatter,
+                        b_sigma=1e-3)
+    shots = 3000
+    reached = set()
+    for abort in (False, True):
+        out = engine.RecordBatch(
+            tuple(plan), np.zeros((shots, n), bool, order="F"),
+            np.zeros((shots, n), np.int8, order="F"),
+            np.empty(shots, np.int16), np.zeros(shots),
+            np.arange(shots, dtype=np.int64), 1.0)
+        for i, _, amps in engine._evolve(ops, touch, sched.max_first_attempts,
+                                         noise, 5, out, 0, shots, abort):
+            live = {lv for lv in range(8) if amps[lv].any()}
+            assert live <= occ[i + 1], (abort, i, live, occ[i + 1])
+            reached |= live
+    # the scatter levels hold amplitude only through the scatter point
+    scat = {engine._SCAT_A, engine._SCAT_B}
+    if kind == "bare-scatter":
+        assert scat <= reached if scatter else not scat & reached
+
+    if kind != "bare-scatter" and not scatter:   # the oracle cannot scatter
+        for k in range(1, len(sched.steps) + 1):
+            head = replace(sched, steps=sched.steps[:k])
+            amps = dense_run(head, 2e-3, flip).register_matrix()
+            live = {lv for lv in range(8) if amps[lv].any()}
+            assert live <= occ[len(compile_schedule(head, flip))], (k, live)
+
+
+@pytest.mark.parametrize("flip", [True, False], ids=["flip", "noflip"])
+@pytest.mark.parametrize("kind", list(OCCUPANCY_CASES))
+def test_restricted_precession_equals_phases(kind, flip):
+    # the engine multiplies only the occupied levels and shares one
+    # exponential per (magnitude, frame) across windows; on those levels
+    # the product equals the one with PrecessOp.phases, bit for bit
+    sched = build_schedule(OCCUPANCY_CASES[kind])
+    ops, touch = engine._compile(sched, [MeasBasis.x()] * sched.n_photons,
+                                 flip)
+    occ = engine._occupancy(ops)
+    rng = np.random.default_rng(3)
+    delta = 1e-3 * rng.normal(size=257)
+    cache = {}
+    for i, op in enumerate(ops):
+        if not isinstance(op, PrecessOp):
+            continue
+        amps = rng.normal(size=(8, 257)) + 1j * rng.normal(size=(8, 257))
+        want = amps * op.phases(delta).T
+        got = amps.copy()
+        engine._precess(got, op, touch[i], delta, cache)
+        for level in range(8):
+            assert np.array_equal(
+                got[level], want[level] if level in occ[i] else amps[level])
+
+
 def test_coherence_probe_matches_envelope():
     b = calibrate_field(1.2e-3, 0.66)
     noise = NoiseConfig(b_sigma=b)
@@ -505,6 +629,30 @@ RECORD_DIGESTS = {
         "9f63cc670a6fc07f910f99dfda872a241fc0f9b64f0e1ab3ed2d27d0ccf7bad3",
     "coherence-per-cycle-abort":
         "aaf379a1d7f1769ba9e5b52d508b5348c155cdf8657be11aec348bcd324b901b",
+    "ddscan6-quasi-static-stored":
+        "a8c14ca9343c65af66e6783cb18131b00fab7823f5de2bf084638e641ca3d3c5",
+    "ddscan6-quasi-static-abort":
+        "6a01f356cfa4ce82670ed511ef26e0413c67191755e3e917a0ea08ea7d545963",
+    "ddscan6-per-cycle-stored":
+        "9872f4dc968a83f14d7165605dd99e6e141413fa8c0b3771eeab01d0f79c5988",
+    "ddscan6-per-cycle-abort":
+        "86d4fd2cb318dff6ac74eb12a42dc8a5de131ef6aa015aebfb2bea3f28e55989",
+    "ddscan6-noflip-quasi-static-stored":
+        "8b6e8be7eff0cb07870546a126f27406a97b3635ae808c82af2accfc5230fc5b",
+    "ddscan6-noflip-quasi-static-abort":
+        "3dfd465eb8fc5d74da4daba5a6932222d40280b42c49b71c402bd28463768cdb",
+    "ddscan6-noflip-per-cycle-stored":
+        "fe00e23944f8fb78f461a5238ab0a9ae253d0eef838a590d45e85207ccbf69a4",
+    "ddscan6-noflip-per-cycle-abort":
+        "e92ba024cfec6f9298fc4b56eab74793f21d14f01d1562c899d3e475c0aff6c8",
+    "custom5-noflip-quasi-static-stored":
+        "9bb21b189996e0ea0cac6924e4c594bdc4c216bcb7d129e44562d8bd8110f18f",
+    "custom5-noflip-quasi-static-abort":
+        "cd23a86e8ba85ca47b36d270bdbb36e27fa8325666c02b65a7dab3f51381f9ef",
+    "custom5-noflip-per-cycle-stored":
+        "4a2ef644c9749bde13e07238e6c0415e2458e5bdde9b48ee16b845195f5b0e8c",
+    "custom5-noflip-per-cycle-abort":
+        "555ead5d65752aa831aa8b8bdb59d5235769f60aa4f01fc5fe9a23e25f7addd8",
 }
 
 
@@ -513,23 +661,34 @@ def test_records_digest_pinned():
 
     from photonchain.cli import operating_noise
 
-    cases = {
-        "ghz6": ProtocolConfig("ghz", 6),
-        "ghz12": ProtocolConfig("ghz", 12),
-        "cluster5": ProtocolConfig("cluster", 5),
-        "custom5": ProtocolConfig("custom", 5, thetas=(0.3, 1.1, 2.0, 0.7)),
-        "coherence": ProtocolConfig("coherence", 2, probe_delay=3e-4),
+    custom5 = ProtocolConfig("custom", 5, thetas=(0.3, 1.1, 2.0, 0.7))
+    ddscan6 = ProtocolConfig("ddscan", 6, dd_tau=4e-5)
+    zxe = (MeasBasis.z(), MeasBasis.x(), MeasBasis.equator(0.7))
+    # a Z photon collapses a GHZ-type state, after which every phase is
+    # global: the ddscan plans measure no Z, so their records see the
+    # precession of the dynamical-decoupling delay
+    xe = (MeasBasis.x(), MeasBasis.equator(0.7))
+    cases = {   # name: (config, flip_f2_sign, basis cycle of the plan)
+        "ghz6": (ProtocolConfig("ghz", 6), True, zxe),
+        "ghz12": (ProtocolConfig("ghz", 12), True, zxe),
+        "cluster5": (ProtocolConfig("cluster", 5), True, zxe),
+        "custom5": (custom5, True, zxe),
+        "coherence": (ProtocolConfig("coherence", 2, probe_delay=3e-4), True,
+                      zxe),
+        "ddscan6": (ddscan6, True, xe),
+        "ddscan6-noflip": (ddscan6, False, xe),
+        "custom5-noflip": (custom5, False, zxe),
     }
-    cyc = (MeasBasis.z(), MeasBasis.x(), MeasBasis.equator(0.7))
     got = {}
-    for name, cfg in cases.items():
-        plan = [cyc[k % 3] for k in range(cfg.n_photons)]
+    for name, (cfg, flip, cyc) in cases.items():
+        plan = [cyc[k % len(cyc)] for k in range(cfg.n_photons)]
         for model in ("quasi-static", "per-cycle"):
             for abort in (False, True):
                 # several chunks per call on either path
                 shots = 4 * CHUNK + 1 if abort else 2 * CHUNK + 3
                 b = run_batch(cfg, operating_noise(model), plan, shots,
-                              seed=7, abort_on_loss=abort)
+                              seed=7, abort_on_loss=abort,
+                              flip_f2_sign=flip)
                 h = hashlib.sha256()
                 for col in (b.detected, b.outcomes, b.attempts, b.deltas):
                     h.update(np.ascontiguousarray(col).tobytes())
