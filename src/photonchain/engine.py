@@ -35,7 +35,7 @@ CHUNK = 1 << 13
 # so a detection uniform u >= eta (1 + LOSS_MARGIN) implies u >= eta p_emit:
 # that photon is lost whatever the state
 LOSS_MARGIN = 1e-6
-RATE_BLOCK = 1 << 17         # runs per block of rate_benchmark
+RATE_TILE = 1 << 14          # runs per detection draw of rate_benchmark
 PLAN_SEED_STRIDE = 1000003   # distinct stream block per basis plan
 
 
@@ -207,7 +207,10 @@ def _evolve(ops: tuple, touch: tuple, n_att: int, noise: NoiseConfig,
     detection uniforms for the shots it keeps and drops those that are
     lost whatever their state (``u >= eta (1 + LOSS_MARGIN)``) before
     their next cycle is evolved; the next emission reuses the uniforms.
-    A dropped shot's cells from that slot on keep their zeros.
+    A dropped shot's cells from that slot on keep their zeros.  A shot
+    whose emission probability is not finite is never dropped: the
+    evolution ends at that emission, and its last yield holds only those
+    shots and their state as they reached it.
     """
     shots = out.run_ids[a:b].astype(np.uint64)
     detected, outcomes = out.detected[a:b], out.outcomes[a:b]
@@ -290,6 +293,13 @@ def _evolve(ops: tuple, touch: tuple, n_att: int, noise: NoiseConfig,
             slot = op.slot
             src = [amps[k] for k in op.domain]
             p_emit = sum(_abs2(row) for row in src)
+            if abort_on_loss and not np.isfinite(p_emit.sum()):
+                # a NaN p_emit reads as a lost photon, and a lost shot
+                # would leave unchecked: end here with the broken shots,
+                # so the norm check sees them
+                bad = np.flatnonzero(~np.isfinite(p_emit))
+                yield i, cur[bad], amps[:, bad]
+                return
 
             if slot == 0:
                 det = emitted = np.ones(len(cur), dtype=bool)
@@ -505,6 +515,11 @@ def rate_benchmark(cfg: ProtocolConfig, noise: NoiseConfig, duration: float,
     Detection is independent of the measured polarizations, so this path
     samples only the detection Bernoulli chain, and each slot's trial
     only for the runs still alive: about runs / (1 - eta) draws in all.
+    The slots form a pipeline: slot k queues the runs alive through slot
+    k - 1 and draws once it holds ``RATE_TILE`` of them, so each draw
+    stays cache-sized however many runs there are; the queues drain
+    after the last run.  Draws are addressed by (seed, run, slot), so the
+    counts do not depend on when a run draws.
     """
     if cfg.kind != "rate":
         raise ValueError("rate_benchmark needs a RateBenchmark config")
@@ -515,13 +530,25 @@ def rate_benchmark(cfg: ProtocolConfig, noise: NoiseConfig, duration: float,
         raise ValueError(f"duration {duration} s is {runs} run periods; "
                          "the run count must lie in [1, 2^63)")
     n_runs = int(runs)
-    counts = np.zeros(cfg.n_photons, dtype=np.int64)
-    for lo in range(0, n_runs, RATE_BLOCK):
-        alive = np.arange(lo, min(lo + RATE_BLOCK, n_runs), dtype=np.uint64)
-        for k in range(cfg.n_photons):
+    n = cfg.n_photons
+    counts = np.zeros(n, dtype=np.int64)
+    # queue[k]: runs alive through slot k - 1 that have not drawn slot k
+    empty = np.empty(0, dtype=np.uint64)
+    queue = [empty] * n
+    for lo in range(0, n_runs, RATE_TILE):
+        queue[0] = np.arange(lo, min(lo + RATE_TILE, n_runs), dtype=np.uint64)
+        drain = lo + RATE_TILE >= n_runs
+        for k in range(n):
+            alive = queue[k]
+            if len(alive) == 0 or len(alive) < RATE_TILE and not drain:
+                continue
             u = crng.uniform(seed, alive, crng.slot_draw(k, crng.SLOT_DETECT))
-            alive = alive[u < noise.eta]
+            # an index array selects far faster than a boolean mask
+            alive = alive[np.flatnonzero(u < noise.eta)]
             counts[k] += len(alive)
+            queue[k] = empty
+            if k + 1 < n:
+                queue[k + 1] = np.concatenate((queue[k + 1], alive))
     return RateResult(counts, n_runs, n_runs * period, period)
 
 

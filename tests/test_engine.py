@@ -11,7 +11,7 @@ from photonchain import engine
 from photonchain import rng as crng
 from photonchain.engine import (
     CHUNK,
-    RATE_BLOCK,
+    RATE_TILE,
     NumericalIntegrityError,
     coherence_probe,
     rate_benchmark,
@@ -349,9 +349,10 @@ def test_rate_benchmark_counts():
 
 def _full_mask_counts(n, eta, n_runs, seed):
     """Coincidence counts with every slot drawn for every run."""
+    block = 1 << 17    # its own block size, apart from the engine's tile
     counts = np.zeros(n, dtype=np.int64)
-    for lo in range(0, n_runs, RATE_BLOCK):
-        runs = np.arange(lo, min(lo + RATE_BLOCK, n_runs), dtype=np.uint64)
+    for lo in range(0, n_runs, block):
+        runs = np.arange(lo, min(lo + block, n_runs), dtype=np.uint64)
         alive = np.ones(len(runs), dtype=bool)
         for k in range(n):
             alive &= crng.uniform(seed, runs, crng.slot_draw(
@@ -360,8 +361,14 @@ def _full_mask_counts(n, eta, n_runs, seed):
     return counts
 
 
+# one tile short, one full tile, one past it, and several tiles whose
+# later slots draw only when the queues drain
+RATE_RUNS = [RATE_TILE - 1, RATE_TILE, RATE_TILE + 1, 5 * RATE_TILE + 3,
+             8 * RATE_TILE - 1, 8 * RATE_TILE + 1, 1000]
+
+
 @pytest.mark.parametrize("eta", [0.0, 0.4318, 1.0])
-@pytest.mark.parametrize("n_runs", [RATE_BLOCK - 1, RATE_BLOCK + 1, 1000])
+@pytest.mark.parametrize("n_runs", RATE_RUNS)
 def test_rate_benchmark_matches_full_mask_loop(eta, n_runs):
     cfg = ProtocolConfig("rate", 14)
     result = rate_benchmark(cfg, NoiseConfig(eta0=eta),
@@ -369,6 +376,34 @@ def test_rate_benchmark_matches_full_mask_loop(eta, n_runs):
     assert result.n_runs == n_runs
     assert np.array_equal(result.counts,
                           _full_mask_counts(14, eta, n_runs, 23))
+
+
+@pytest.mark.parametrize("eta", [0.4318, 1.0])
+@pytest.mark.parametrize("n_runs", RATE_RUNS)
+def test_rate_benchmark_draws_each_live_slot_once(monkeypatch, eta, n_runs):
+    # slot k draws once for each run alive through slot k - 1 and never
+    # for any other run: n_runs + sum_{k < N-1} counts[k] draws in all
+    n = 14
+    drawn = [[] for _ in range(n)]
+    real = crng.uniform
+
+    def spy(seed, shot, d):
+        drawn[(d - crng.SLOT_BASE) // crng.SLOT_STRIDE].append(shot.copy())
+        return real(seed, shot, d)
+
+    monkeypatch.setattr(crng, "uniform", spy)
+    cfg = ProtocolConfig("rate", n)
+    counts = rate_benchmark(cfg, NoiseConfig(eta0=eta),
+                            (n_runs + 0.5) * cfg.repetition_period,
+                            seed=23).counts
+    alive = np.arange(n_runs, dtype=np.uint64)
+    for k in range(n):
+        runs = np.sort(np.concatenate(drawn[k])) if drawn[k] else alive[:0]
+        assert np.array_equal(runs, alive), k
+        alive = alive[real(23, alive, crng.slot_draw(
+            k, crng.SLOT_DETECT)) < eta]
+        assert len(alive) == counts[k]
+    assert sum(map(len, sum(drawn, []))) == n_runs + counts[:-1].sum()
 
 
 @pytest.mark.parametrize("duration", [math.inf, math.nan, 1e-4, 1e30])
@@ -402,20 +437,27 @@ def test_nan_norm_names_seed_and_run():
                  seed=31, shot_index=777)
 
 
-@pytest.mark.parametrize("draw,where", [
-    (crng.slot_draw(2, crng.SLOT_PULSE0 + 3 * crng.SLOT_PULSE_STRIDE),
-     "pulse, cycle 2"),
-    (crng.slot_draw(2, crng.SLOT_FIELD), "precess, cycle 2"),
-    (crng.SCATTER_POP, "scatter, cycle 3"),
-], ids=["pulse", "precess", "scatter"])
-def test_norm_error_names_the_op(monkeypatch, draw, where):
+@pytest.mark.parametrize("draw,where,path", [
+    pytest.param(draw, where, path, id=where.split(",")[0] + suffix)
+    for draw, where in [
+        (crng.slot_draw(2, crng.SLOT_PULSE0 + 3 * crng.SLOT_PULSE_STRIDE),
+         "pulse, cycle 2"),
+        (crng.slot_draw(2, crng.SLOT_FIELD), "precess, cycle 2"),
+        (crng.SCATTER_POP, "scatter, cycle 3")]
+    for path, suffix in [("stored", ""), ("abort", "-abort"),
+                         ("abort-lossy", "-abort-lossy")]])
+def test_norm_error_names_the_op(monkeypatch, draw, where, path):
     # one NaN draw of one shot breaks its norm at one op: a Raman angle, a
     # per-cycle field sample or a scatter population.  The replay of the
-    # worst shot names that op by its index in the compiled schedule
+    # worst shot names that op by its index in the compiled schedule.
+    # With abort_on_loss the broken shot's next emission has a NaN p_emit,
+    # which reads as a lost photon; it must reach the check all the same
     cfg = ProtocolConfig("ghz", 4)
     kind = where.split(",")[0]
+    eta = 0.4318 if path == "abort-lossy" else 1.0
     # a scatter replaces the state, so only the scatter case scatters
-    noise = NoiseConfig(raman_sigma=0.01, b_sigma=1e-3, b_model="per-cycle",
+    noise = NoiseConfig(eta0=eta, raman_sigma=0.01, b_sigma=1e-3,
+                        b_model="per-cycle",
                         closing_scatter_p=1.0 if kind == "scatter" else 0.0)
     index = next(
         i for i, op in enumerate(compile_schedule(build_schedule(cfg)))
@@ -424,12 +466,20 @@ def test_norm_error_names_the_op(monkeypatch, draw, where):
         or kind == "precess" and isinstance(op, PrecessOp) and op.cycle == 2
         or kind == "scatter" and isinstance(op, ScatterOp))
     real = {"normal": crng.normal, "uniform": crng.uniform}
+    # the first run from 4321 on whose first attempt hits and whose
+    # slot 1 .. 3 detection uniforms keep it to the broken op at eta < 1
+    ids = np.arange(4321, 5321, dtype=np.uint64)
+    reach = crng.uniform(3, ids, crng.FIRST_ATTEMPT_BASE) < eta
+    for k in (1, 2, 3):
+        reach &= crng.uniform(3, ids, crng.slot_draw(
+            k, crng.SLOT_DETECT)) < 0.9 * eta
+    run = int(ids[reach][0])
 
     def spoiled(name):
         def draws(seed, shot, d):
             x = real[name](seed, shot, d)
             if d == draw:
-                x[np.asarray(shot) == 4321] = np.nan
+                x[np.asarray(shot) == run] = np.nan
             return x
         return draws
 
@@ -437,8 +487,9 @@ def test_norm_error_names_the_op(monkeypatch, draw, where):
         monkeypatch.setattr(crng, name, spoiled(name))
     with np.errstate(invalid="ignore"), pytest.raises(
             NumericalIntegrityError,
-            match=rf"\(seed 3, run 4321\) after op {index} \({where}\)$"):
-        run_batch(cfg, noise, [MeasBasis.x()] * 4, CHUNK + 5000, seed=3)
+            match=rf"\(seed 3, run {run}\) after op {index} \({where}\)$"):
+        run_batch(cfg, noise, [MeasBasis.x()] * 4, CHUNK + 5000, seed=3,
+                  abort_on_loss=path != "stored")
 
 
 OCCUPANCY_CASES = {
@@ -653,6 +704,30 @@ RECORD_DIGESTS = {
         "4a2ef644c9749bde13e07238e6c0415e2458e5bdde9b48ee16b845195f5b0e8c",
     "custom5-noflip-per-cycle-abort":
         "555ead5d65752aa831aa8b8bdb59d5235769f60aa4f01fc5fe9a23e25f7addd8",
+    "ghz6-xe-quasi-static-stored":
+        "ce477397b2d568a0c5caf78d47063f4151fb9f9981b029914f56dab904a7b7a5",
+    "ghz6-xe-quasi-static-abort":
+        "fc5891a46b32903b8cc0ba933aface03b473a8e0d2912f15f717e649a4cbd9f7",
+    "ghz6-xe-per-cycle-stored":
+        "1c5c2c02ba572f9dea75436993cbcb896a75acd53f59ec8dcb6966d8c65576cb",
+    "ghz6-xe-per-cycle-abort":
+        "f3cf0a87f49ad7bab97f8c9500ee07cf9878e46fc6b193fc6a3f7c65ad0b8fc2",
+    "ghz12-xe-quasi-static-stored":
+        "86f917319dc2cb174bbac60a02d61e24b6240b92f88600e8efde398edc2ac502",
+    "ghz12-xe-quasi-static-abort":
+        "7e1d7b33a9186f840f9d024aad13ac011ca0db0845e939b3f97756cfafa67898",
+    "ghz12-xe-per-cycle-stored":
+        "fcffd510794febab71809b0edc355a02213b3359bb94f7949dabef0a92927003",
+    "ghz12-xe-per-cycle-abort":
+        "24738f929f4bb63d669783dc839a0a3489e0844570315ae2b254a4aef5b4cb5d",
+    "coherence-xe-quasi-static-stored":
+        "1a222e29566b48a9f8b3d4bc4c51bc59bb2cc239ac0805f8f831c6a2229eb572",
+    "coherence-xe-quasi-static-abort":
+        "3504d84b27ed1146d406886ac18135772786b3ff3de94d20c09306c0d132d5a3",
+    "coherence-xe-per-cycle-stored":
+        "e0418fe14fb0705ead3c6b8377a9d5c3837dc24d56353944b017a618a8a25ed8",
+    "coherence-xe-per-cycle-abort":
+        "a772717e84b379d9da3cf7f85e186de0cd8ef0cbe9368377fad96b67a458b6ac",
 }
 
 
@@ -665,8 +740,8 @@ def test_records_digest_pinned():
     ddscan6 = ProtocolConfig("ddscan", 6, dd_tau=4e-5)
     zxe = (MeasBasis.z(), MeasBasis.x(), MeasBasis.equator(0.7))
     # a Z photon collapses a GHZ-type state, after which every phase is
-    # global: the ddscan plans measure no Z, so their records see the
-    # precession of the dynamical-decoupling delay
+    # global: the ddscan and "xe" plans measure no Z, so their records see
+    # the precession windows, the probe delay and the decoupling delay
     xe = (MeasBasis.x(), MeasBasis.equator(0.7))
     cases = {   # name: (config, flip_f2_sign, basis cycle of the plan)
         "ghz6": (ProtocolConfig("ghz", 6), True, zxe),
@@ -678,6 +753,10 @@ def test_records_digest_pinned():
         "ddscan6": (ddscan6, True, xe),
         "ddscan6-noflip": (ddscan6, False, xe),
         "custom5-noflip": (custom5, False, zxe),
+        "ghz6-xe": (ProtocolConfig("ghz", 6), True, xe),
+        "ghz12-xe": (ProtocolConfig("ghz", 12), True, xe),
+        "coherence-xe": (ProtocolConfig("coherence", 2, probe_delay=3e-4),
+                         True, xe),
     }
     got = {}
     for name, (cfg, flip, cyc) in cases.items():
