@@ -33,7 +33,8 @@ _SCAT_B = Sublevel(2, -1).index
 CHUNK = 1 << 13
 # p_emit <= |state|^2 <= (1 + 1e-9)^2 within the norm check's tolerance,
 # so a detection uniform u >= eta (1 + LOSS_MARGIN) implies u >= eta p_emit:
-# that photon is lost whatever the state
+# that photon is lost whatever the state, and abort_on_loss never evolves
+# its shot
 LOSS_MARGIN = 1e-6
 RATE_TILE = 1 << 14          # runs per detection draw of rate_benchmark
 PLAN_SEED_STRIDE = 1000003   # distinct stream block per basis plan
@@ -203,11 +204,14 @@ def _evolve(ops: tuple, touch: tuple, n_att: int, noise: NoiseConfig,
     over its target rows and writes them, and the not-emitted remainder,
     into a zeroed state.
 
-    With ``abort_on_loss`` each emission also draws the next slot's
-    detection uniforms for the shots it keeps and drops those that are
-    lost whatever their state (``u >= eta (1 + LOSS_MARGIN)``) before
-    their next cycle is evolved; the next emission reuses the uniforms.
-    A dropped shot's cells from that slot on keep their zeros.  A shot
+    With ``abort_on_loss`` the shots are screened before any state is
+    evolved: slot k's detection uniforms (k = 1 .. N-1) are drawn for the
+    shots that passed slots 1 .. k-1, and a shot is kept only if every
+    one lies below ``eta (1 + LOSS_MARGIN)``; any other shot loses some
+    photon whatever its state.  Each emission reads the kept shots'
+    uniforms of its slot and drops the shots whose photon it does not
+    detect.  A screened-out or dropped shot's cells keep their zeros from
+    where it stopped, so only full-detection rows are complete.  A shot
     whose emission probability is not finite is never dropped: the
     evolution ends at that emission, and its last yield holds only those
     shots and their state as they reached it.
@@ -236,9 +240,16 @@ def _evolve(ops: tuple, touch: tuple, n_att: int, noise: NoiseConfig,
     # void shots (no first photon in n_att attempts) never enter the
     # cycling stage; drop them from state evolution right away
     cur = np.setdiff1d(np.arange(b - a), miss, assume_unique=True)
+    if abort_on_loss:
+        # u_det[k - 1]: the slot-k detection uniforms of the shots in cur,
+        # drawn for the shots that may still detect photons 1 .. k - 1
+        u_det = np.empty((0, len(cur)))
+        for k in range(1, detected.shape[1]):
+            u = crng.uniform(seed, shots[cur],
+                             crng.slot_draw(k, crng.SLOT_DETECT))
+            live = np.flatnonzero(u < eta * (1.0 + LOSS_MARGIN))
+            cur, u_det = cur[live], np.vstack((u_det[:, live], u[live]))
     amps = np.zeros((8, len(cur)), dtype=complex)
-    n_slots = detected.shape[1]
-    u_det = None   # abort_on_loss: the next slot's drawn detection uniforms
 
     # the active shots' field offsets (of the current cycle under
     # per-cycle noise) and the exponentials taken for them, kept until a
@@ -304,7 +315,7 @@ def _evolve(ops: tuple, touch: tuple, n_att: int, noise: NoiseConfig,
             if slot == 0:
                 det = emitted = np.ones(len(cur), dtype=bool)
             else:
-                u = u_det if u_det is not None else crng.uniform(
+                u = u_det[slot - 1] if abort_on_loss else crng.uniform(
                     seed, shots[cur], crng.slot_draw(slot, crng.SLOT_DETECT))
                 det = u < p_emit * eta
                 emitted = u < p_emit
@@ -324,16 +335,11 @@ def _evolve(ops: tuple, touch: tuple, n_att: int, noise: NoiseConfig,
             outcomes[cur, slot] = np.where(det, np.where(plus, 1, -1), 0)
 
             if abort_on_loss:
-                # keep the detected shots that may detect the next photon
-                # (a kept shot was emitted, so no remainder is kept)
+                # keep the detected shots (a kept shot was emitted, so no
+                # remainder is kept)
                 keep = np.flatnonzero(det)
-                if slot + 1 < n_slots:
-                    u_det = crng.uniform(
-                        seed, shots[cur[keep]],
-                        crng.slot_draw(slot + 1, crng.SLOT_DETECT))
-                    live = u_det < eta * (1.0 + LOSS_MARGIN)
-                    keep, u_det = keep[live], u_det[live]
                 cur, offsets, store = cur[keep], offsets[keep], {}
+                u_det = u_det[:, keep]
                 chosen, nrm = [amp[keep] for amp in chosen], nrm[keep]
 
             new = np.zeros((8, len(cur)), dtype=complex)
@@ -436,8 +442,9 @@ def _run_range(cfg, noise: NoiseConfig, basis_plan, seed: int, lo: int,
         raise ValueError(f"records of {size} shots x {n} photons do not fit "
                          "in memory") from exc
 
-    # an abort_on_loss chunk thins out at every emission, so its per-op
-    # overhead, not its memory, sets its size
+    # the detection screen leaves an abort_on_loss chunk about
+    # eta^(N-1) of its shots to evolve, so its per-op overhead, not its
+    # memory, sets its size
     chunk = CHUNK * 4 if abort_on_loss else CHUNK
 
     def work(a):
@@ -460,11 +467,14 @@ def run_batch(cfg, noise: NoiseConfig, basis_plan, shots: int, seed: int,
     """Simulate ``shots`` independent runs of the protocol.
 
     ``cfg`` may be a :class:`ProtocolConfig` or a prebuilt
-    :class:`PulseSchedule`.  With ``abort_on_loss`` a shot stops evolving
-    at its first undetected photon, or before that photon's cycle when its
-    detection draw already rules the photon out (valid whenever the
-    downstream analysis post-selects on full detection; later slots stay
-    unmeasured).  ``detected`` and ``outcomes`` are column-major.
+    :class:`PulseSchedule`.  With ``abort_on_loss`` only the shots that
+    can detect every photon are evolved: a shot whose detection draw of
+    any slot rules that photon out is never evolved and its row stays
+    empty, and any other shot stops at its first undetected photon, its
+    later slots unmeasured.  Full-detection rows, ``attempts`` and
+    ``deltas`` equal those without it, so it is valid whenever the
+    downstream analysis post-selects on full detection.  ``detected`` and
+    ``outcomes`` are column-major.
     """
     return _run_range(cfg, noise, basis_plan, seed, 0, shots, threads,
                       abort_on_loss, flip_f2_sign)

@@ -218,17 +218,30 @@ def test_loss_marginals():
     assert np.all((o == o[:, :1]).all(axis=1))
 
 
+def _screen(seed, shots, n, eta):
+    """(shots,) bool: the shots whose slot 1 .. n-1 detection uniforms all
+    lie below eta (1 + LOSS_MARGIN), the only ones abort_on_loss evolves."""
+    ids = np.arange(shots, dtype=np.uint64)
+    return np.all([crng.uniform(seed, ids, crng.slot_draw(k, crng.SLOT_DETECT))
+                   < eta * (1.0 + engine.LOSS_MARGIN) for k in range(1, n)],
+                  axis=0)
+
+
 def test_abort_on_loss_equivalent_for_postselection():
     # abort_on_loss computes each precession's phase factors afresh, the
     # full run reuses them within a chunk (per cycle under per-cycle field
-    # noise).  Every abort row is the full row cut at the shot's first
-    # undetected slot: equal up to and including that slot, zero after it
+    # noise).  A shot that passes the detection screen is evolved as the
+    # full run evolves it: its abort row is the full row cut at its first
+    # undetected slot, equal up to and including that slot and zero after
+    # it.  Any other shot is never evolved, so its row is empty
+    lost_late = False
     for cfg, noise in (
             (ProtocolConfig("ghz", 4), NoiseConfig(eta0=0.5, b_sigma=1e-3)),
             (ProtocolConfig("cluster", 5),
              NoiseConfig(eta0=0.8, raman_sigma=0.05, b_sigma=1e-3))):
         n = cfg.n_photons
         bases = [MeasBasis.equator(0.5)] * n
+        passed = _screen(13, 20000, n, noise.eta)
         for b_model in ("quasi-static", "per-cycle"):
             noise = replace(noise, b_model=b_model)
             a = run_batch(cfg, noise, bases, 20000, seed=13)
@@ -236,22 +249,30 @@ def test_abort_on_loss_equivalent_for_postselection():
                           abort_on_loss=True)
             first_loss = np.where(a.full_detection, n,
                                   np.argmin(a.detected, axis=1))
-            kept = np.arange(n) <= first_loss[:, None]
-            assert not kept.all() and kept[:, 1:].any()
+            kept = (np.arange(n) <= first_loss[:, None]) & passed[:, None]
+            # screened-out shots whose full row detected photons are
+            # covered, and (with Raman noise, which leaves p_emit < 1)
+            # screened-in shots that lose a photon after the first
+            assert (~passed & a.detected[:, 1]).any()
+            lost_late |= (passed & a.detected[:, 1]
+                          & ~a.full_detection).any()
             assert np.array_equal(b.detected, kept & a.detected)
             assert np.array_equal(b.outcomes, np.where(kept, a.outcomes, 0))
+            assert np.array_equal(b.full_detection, a.full_detection)
             assert np.array_equal(b.attempts, a.attempts)
             assert np.array_equal(b.deltas, a.deltas)
+    assert lost_late
 
 
 @pytest.mark.parametrize("eta", [0.4318, 1.0])
 @pytest.mark.parametrize("kind,n", [("ghz", 6), ("cluster", 5)])
 def test_abort_on_loss_skips_cycles_of_lost_photons(monkeypatch, kind, n,
                                                     eta):
-    # with abort_on_loss a shot whose slot-k detection uniform rules photon
-    # k out whatever its state leaves before cycle k: it draws none of that
-    # cycle's Raman pulse angles.  Every other shot that kept photons
-    # 0 .. k-1 draws them, and at eta = 1 no shot leaves early
+    # with abort_on_loss a shot whose detection uniform of any slot rules
+    # that photon out whatever its state is never evolved: it draws no
+    # Raman pulse angle of any cycle.  Cycle k's angles are drawn for
+    # exactly the shots that pass this screen and keep photons 0 .. k-1,
+    # and at eta = 1 the screen passes every shot
     from photonchain.cli import operating_noise
 
     noise = replace(operating_noise(), eta0=eta, eta_d=1.0)
@@ -271,25 +292,83 @@ def test_abort_on_loss_skips_cycles_of_lost_photons(monkeypatch, kind, n,
         return normal(s, shot, draw)
 
     monkeypatch.setattr(crng, "normal", spy)
-    batch = run_batch(cfg, noise, bases, shots, seed, abort_on_loss=True)
+    run_batch(cfg, noise, bases, shots, seed, abort_on_loss=True)
     monkeypatch.undo()
 
-    ids = np.arange(shots, dtype=np.uint64)
+    full = run_batch(cfg, noise, bases, shots, seed)
+    passed = _screen(seed, shots, n, eta)
+    assert passed.all() if eta == 1.0 else not passed.all()
     cycles = {(d - crng.SLOT_BASE) // crng.SLOT_STRIDE for d in drawn}
     assert cycles == set(range(1, n))
     for d, who in drawn.items():
         k = (d - crng.SLOT_BASE) // crng.SLOT_STRIDE
-        u = crng.uniform(seed, ids, crng.slot_draw(k, crng.SLOT_DETECT))
         got = np.zeros(shots, dtype=bool)
         got[np.concatenate(who)] = True
-        reached = batch.detected[:, :k].all(axis=1)
-        may_detect = u < eta * (1.0 + engine.LOSS_MARGIN)
-        assert not (got & ~may_detect).any()
-        assert np.array_equal(got, reached & may_detect)
-        if eta == 1.0:
-            assert np.array_equal(got, reached)
-        else:
-            assert (reached & (u >= eta)).any()
+        reached = full.detected[:, :k].all(axis=1)
+        assert np.array_equal(got, reached & passed)
+        if eta < 1.0 and k < n - 1:
+            # shots that a one-slot look-ahead would still evolve
+            u = crng.uniform(seed, np.arange(shots, dtype=np.uint64),
+                             crng.slot_draw(k, crng.SLOT_DETECT))
+            assert (reached & ~passed
+                    & (u < eta * (1.0 + engine.LOSS_MARGIN))).any()
+
+
+@pytest.mark.parametrize("b_model", ["quasi-static", "per-cycle"])
+@pytest.mark.parametrize("kind,n", [("ghz", 6), ("cluster", 5)])
+def test_abort_on_loss_screen_draws(monkeypatch, kind, n, b_model):
+    # with abort_on_loss slot k's detection uniform is drawn once for each
+    # non-void shot that passed slots 1 .. k-1, and a shot that fails the
+    # screen draws nothing past it: no outcome, pulse-angle, scatter or
+    # later cycle's field draw
+    from photonchain.cli import operating_noise
+
+    noise = operating_noise(b_model)
+    assert noise.raman_sigma > 0 and noise.closing_scatter_p > 0
+    cfg = ProtocolConfig(kind, n)
+    bases = [MeasBasis.x(), MeasBasis.equator(0.7)] * (n // 2) \
+        + [MeasBasis.z()] * (n % 2)
+    seed, shots = 31, 20000
+    calls = []      # (draw index, shot ids) of every uniform and normal call
+    uniform, normal = crng.uniform, crng.normal
+
+    def spy(fn):
+        def draw(s, shot, d):
+            calls.append((int(d), np.asarray(shot).astype(np.int64)))
+            return fn(s, shot, d)
+        return draw
+
+    monkeypatch.setattr(crng, "uniform", spy(uniform))
+    monkeypatch.setattr(crng, "normal", spy(normal))
+    batch = run_batch(cfg, noise, bases, shots, seed, abort_on_loss=True)
+    monkeypatch.undo()
+
+    ids = np.arange(shots, dtype=np.uint64)
+    alive = batch.attempts < cfg.max_first_attempts
+    alive |= uniform(seed, ids, crng.FIRST_ATTEMPT_BASE
+                     + cfg.max_first_attempts - 1) < noise.eta
+    assert batch.full_detection.any()
+    # the draws a screened-out shot may make: its first-photon attempts,
+    # its recorded field offset (a normal draws d and d + 1) and the
+    # detection uniforms of the screen
+    field = (crng.slot_draw(0, crng.SLOT_FIELD) if b_model == "per-cycle"
+             else crng.FIELD_DRAW)
+    screen = {*range(cfg.max_first_attempts), field, field + 1}
+    for k in range(1, n):
+        d = crng.slot_draw(k, crng.SLOT_DETECT)
+        screen.add(d)
+        who = np.concatenate([w for dd, w in calls if dd == d])
+        assert len(np.unique(who)) == len(who), k
+        assert np.array_equal(np.sort(who), np.flatnonzero(alive)), k
+        alive &= (uniform(seed, ids, d)
+                  < noise.eta * (1.0 + engine.LOSS_MARGIN))
+    evolved = np.zeros(shots, dtype=bool)
+    for d, who in calls:
+        if d not in screen:
+            evolved[who] = True
+    assert evolved.any()
+    assert not (evolved & ~alive).any()
+    assert not (batch.full_detection & ~alive).any()
 
 
 @pytest.mark.parametrize("abort", [False, True])
@@ -636,98 +715,101 @@ def test_record_batch_concat_guard():
         a.concat(replace(a, period=2 * a.period))
 
 
-# sha256 of run_batch's detected, outcomes, attempts and deltas, per case
-# of test_records_digest_pinned; a change to the kernels, the draw layout
-# or the op order that moves any record changes these
+# sha256 per case of test_records_digest_pinned: of run_batch's detected,
+# outcomes, attempts and deltas on the stored path, and of the
+# post-selected view on the abort_on_loss path (the full-detection rows'
+# detected, outcomes and run_ids, then every row's attempts and deltas),
+# which is all that path promises; a change to the kernels, the draw
+# layout or the op order that moves any of these changes them
 RECORD_DIGESTS = {
     "ghz6-quasi-static-stored":
         "510eac5229d0d958af741825e1ebd8152904ae1d86ae29b58bcb4a8972bf3236",
     "ghz6-quasi-static-abort":
-        "4a065f75615c1585139bb091727ef7692f7761d42b39fc9a893d1ad69882eb06",
+        "cdd372d56e508822bfaa05140679335cd158383fcc4801e6562ce8609eb166d8",
     "ghz6-per-cycle-stored":
         "fbc9468a9da20434103a4471c70a5708eb6ea1a0aebfa1d458b84d6bfdd2e34d",
     "ghz6-per-cycle-abort":
-        "9a197fa3396d194759eee3838cdaa5259a7803eac7d17106110b451fc4cd13c0",
+        "d65cab58074cb22ad4f480ba94a9657a1208cd07b40c2d640d8f9f3f64f36acd",
     "ghz12-quasi-static-stored":
         "4a6b43fc71e5e352ed3c5464bf640cad2c330b83c2e14a9c71663456a031d24a",
     "ghz12-quasi-static-abort":
-        "dca00d269032853c89740fea59b3ed1f93eb5e9ed9d46782ec8cd7695b2a824b",
+        "474cc9a3210a9f2ffabb0d4bdf304341fec678ecf38a64667943961550c5702c",
     "ghz12-per-cycle-stored":
         "bbac8aec26a5e1c437fe0eef8f67e1a8412c6ea6cc0e4f09179c07c8b9feb62c",
     "ghz12-per-cycle-abort":
-        "5bf25e493ab92f22adc99e74ba1e6466e4a3de0641a510d6577a664e917c32b6",
+        "e0ea821b8764ee9b1c199feaecf13db43de8b08b0a335838971e68ec12d11330",
     "cluster5-quasi-static-stored":
         "bbe6d78f1366bdaacad11c7e69e575e065dd849f9a77c9def2ef4cf2b204a1aa",
     "cluster5-quasi-static-abort":
-        "bdb3a9df9423825c0e6cfb1b924805f3f15fe781c20f13331eeb464be849a7ba",
+        "fa49fa5f69f3875d25dae50893c0c0c812b11db265c078a54746279761ed3f2d",
     "cluster5-per-cycle-stored":
         "bcfd902479cbf49665ed860f75520a9024570ed41c07558341d21d01ff955609",
     "cluster5-per-cycle-abort":
-        "d719bd9cbed0581679434279485b4eb78b6491a73b2076cda2cfdf5ee4487069",
+        "72d7539d7cf51b7c45df98db6051f98fa1045b17c4dc70225cc36429cc783569",
     "custom5-quasi-static-stored":
         "fc5ad12a7a8a5a17956e5d4a9cbd62e4268784c10f1f906ba65f928faea7ece7",
     "custom5-quasi-static-abort":
-        "70b9b1bdc928cd444b61b5dc89abb2e242fdce3e86c3313d7c4b3d679a1ceaff",
+        "fa7ef43a4dc03ac4493da3fdbfc3466c2942699517bd88b42886a63adf110dae",
     "custom5-per-cycle-stored":
         "96a240aa8131fd5c1e87cb5f067c995ec74cb74d1b51e97aea994037912b30e2",
     "custom5-per-cycle-abort":
-        "9865b0baabbf3530c9a9721e8b48051a203072d214724a575b55920059af50f5",
+        "4d8969d3728a0251f0370e82de6e03fc9d26b773b9cfef0fcb5c7489d5feb8ab",
     "coherence-quasi-static-stored":
         "184eabf1f07ed4671bdd7b6da5ea8757eb8808ccc4c731c67948d95392d4861b",
     "coherence-quasi-static-abort":
-        "f5a4d47a478dbf9d9d4a3c2ff96871e7745add0e334a0fae479c2ab350c5358a",
+        "555cd55d210c16c5742aff9ac4bbd24a2f5552445b7eda754529c3845cbe53b0",
     "coherence-per-cycle-stored":
         "9f63cc670a6fc07f910f99dfda872a241fc0f9b64f0e1ab3ed2d27d0ccf7bad3",
     "coherence-per-cycle-abort":
-        "aaf379a1d7f1769ba9e5b52d508b5348c155cdf8657be11aec348bcd324b901b",
+        "46fd1b79895f995fa4e122f5a3ffdb272cd23a14119c6eb9e0b3f43016590cf4",
     "ddscan6-quasi-static-stored":
         "a8c14ca9343c65af66e6783cb18131b00fab7823f5de2bf084638e641ca3d3c5",
     "ddscan6-quasi-static-abort":
-        "6a01f356cfa4ce82670ed511ef26e0413c67191755e3e917a0ea08ea7d545963",
+        "7f978b990ffd7a67a86f821ad188ca3203f6166e6bc55b39d6009c0b99b1af0f",
     "ddscan6-per-cycle-stored":
         "9872f4dc968a83f14d7165605dd99e6e141413fa8c0b3771eeab01d0f79c5988",
     "ddscan6-per-cycle-abort":
-        "86d4fd2cb318dff6ac74eb12a42dc8a5de131ef6aa015aebfb2bea3f28e55989",
+        "19e6e869601c39d5377e863000c1f0ef0cd60d8f140c3f7c5f0827c2aadd5a88",
     "ddscan6-noflip-quasi-static-stored":
         "8b6e8be7eff0cb07870546a126f27406a97b3635ae808c82af2accfc5230fc5b",
     "ddscan6-noflip-quasi-static-abort":
-        "3dfd465eb8fc5d74da4daba5a6932222d40280b42c49b71c402bd28463768cdb",
+        "fc8b9163f9e15169c64f65f655b11047d95207c033b1adbacf67d8b3772b4432",
     "ddscan6-noflip-per-cycle-stored":
         "fe00e23944f8fb78f461a5238ab0a9ae253d0eef838a590d45e85207ccbf69a4",
     "ddscan6-noflip-per-cycle-abort":
-        "e92ba024cfec6f9298fc4b56eab74793f21d14f01d1562c899d3e475c0aff6c8",
+        "c9c73140b4058a2e04cd787dd846d5579c329cffb7d8295cbc1c918123210290",
     "custom5-noflip-quasi-static-stored":
         "9bb21b189996e0ea0cac6924e4c594bdc4c216bcb7d129e44562d8bd8110f18f",
     "custom5-noflip-quasi-static-abort":
-        "cd23a86e8ba85ca47b36d270bdbb36e27fa8325666c02b65a7dab3f51381f9ef",
+        "02326af3fea2964d43867d664bf9d96aad4efecc69716e2225464c71fe7d5c85",
     "custom5-noflip-per-cycle-stored":
         "4a2ef644c9749bde13e07238e6c0415e2458e5bdde9b48ee16b845195f5b0e8c",
     "custom5-noflip-per-cycle-abort":
-        "555ead5d65752aa831aa8b8bdb59d5235769f60aa4f01fc5fe9a23e25f7addd8",
+        "ef41684cf1fd0002251b458f848b47d81f09dcb2c79c5cf91909d93a7f429218",
     "ghz6-xe-quasi-static-stored":
         "ce477397b2d568a0c5caf78d47063f4151fb9f9981b029914f56dab904a7b7a5",
     "ghz6-xe-quasi-static-abort":
-        "fc5891a46b32903b8cc0ba933aface03b473a8e0d2912f15f717e649a4cbd9f7",
+        "58c89b9eaad5a9ae805987fa8c068fa8066e09f37c293ed3d341b1869fd0bc0a",
     "ghz6-xe-per-cycle-stored":
         "1c5c2c02ba572f9dea75436993cbcb896a75acd53f59ec8dcb6966d8c65576cb",
     "ghz6-xe-per-cycle-abort":
-        "f3cf0a87f49ad7bab97f8c9500ee07cf9878e46fc6b193fc6a3f7c65ad0b8fc2",
+        "35ced934b518b189c55f5e14d0f306f38accbf166a36a2710998977a921a6d12",
     "ghz12-xe-quasi-static-stored":
         "86f917319dc2cb174bbac60a02d61e24b6240b92f88600e8efde398edc2ac502",
     "ghz12-xe-quasi-static-abort":
-        "7e1d7b33a9186f840f9d024aad13ac011ca0db0845e939b3f97756cfafa67898",
+        "11bc3d11b723ae3b09e8c42afc496c21a0ad1b1da0e8bc2ce76e83760c1c054a",
     "ghz12-xe-per-cycle-stored":
         "fcffd510794febab71809b0edc355a02213b3359bb94f7949dabef0a92927003",
     "ghz12-xe-per-cycle-abort":
-        "24738f929f4bb63d669783dc839a0a3489e0844570315ae2b254a4aef5b4cb5d",
+        "d74b963383b278e51a1047e3e94352023ccfb37a1423aad90f2d9ca862866fd8",
     "coherence-xe-quasi-static-stored":
         "1a222e29566b48a9f8b3d4bc4c51bc59bb2cc239ac0805f8f831c6a2229eb572",
     "coherence-xe-quasi-static-abort":
-        "3504d84b27ed1146d406886ac18135772786b3ff3de94d20c09306c0d132d5a3",
+        "9cdd1915b4f79aaf5832078bbc2c3ccc580caf8d0c9bc68dfeb0efa7911aa8cb",
     "coherence-xe-per-cycle-stored":
         "e0418fe14fb0705ead3c6b8377a9d5c3837dc24d56353944b017a618a8a25ed8",
     "coherence-xe-per-cycle-abort":
-        "a772717e84b379d9da3cf7f85e186de0cd8ef0cbe9368377fad96b67a458b6ac",
+        "7aca09dfbe33cf921e3b25f99707390b3e44c2662bfa8913903cb927a9271b37",
 }
 
 
@@ -769,7 +851,11 @@ def test_records_digest_pinned():
                               seed=7, abort_on_loss=abort,
                               flip_f2_sign=flip)
                 h = hashlib.sha256()
-                for col in (b.detected, b.outcomes, b.attempts, b.deltas):
+                full = b.full_detection
+                cols = ((b.detected[full], b.outcomes[full], b.run_ids[full],
+                         b.attempts, b.deltas) if abort else
+                        (b.detected, b.outcomes, b.attempts, b.deltas))
+                for col in cols:
                     h.update(np.ascontiguousarray(col).tobytes())
                 key = f"{name}-{model}-{'abort' if abort else 'stored'}"
                 got[key] = h.hexdigest()
