@@ -311,7 +311,11 @@ def rate_fit(counts, duration: float, eta_detection: float = 1.0) -> RateFit:
     eta = sum_k count_{k+1} / sum_k count_k (k < N), with the binomial
     stderr sqrt(eta (1 - eta) / sum_k count_k); zero counts enter like
     any other.  The loss-corrected rates divide eta_detection^N out of
-    counts / duration, and eta_detection must lie in (0, 1].
+    counts / duration, and eta_detection must lie in (0, 1].  On
+    :func:`engine.rate_benchmark` counts, which omit the Raman leakage of
+    ``run_batch``, the fitted eta is the model's eta0 * eta_d, the
+    efficiency per emitted photon; on measured counts, such as the
+    paper's 43.18 %, it includes any emission leakage.
     """
     if not 0.0 < eta_detection <= 1.0:
         raise ValueError(f"eta_detection {eta_detection} outside (0, 1]")

@@ -523,13 +523,12 @@ def rate_benchmark(cfg: ProtocolConfig, noise: NoiseConfig, duration: float,
     starting from the first attempt.
 
     Detection is independent of the measured polarizations, so this path
-    samples only the detection Bernoulli chain, and each slot's trial
-    only for the runs still alive: about runs / (1 - eta) draws in all.
-    The slots form a pipeline: slot k queues the runs alive through slot
-    k - 1 and draws once it holds ``RATE_TILE`` of them, so each draw
-    stays cache-sized however many runs there are; the queues drain
-    after the last run.  Draws are addressed by (seed, run, slot), so the
-    counts do not depend on when a run draws.
+    samples detection only, from one uniform per run, its slot-0
+    detection draw u: photons 1..k are all detected exactly when
+    u < eta^k, which has probability eta^k, as for k Bernoulli(eta)
+    trials.  Runs are drawn ``RATE_TILE`` at a time, so each draw stays
+    cache-sized; draws are addressed by (seed, run, draw), so the
+    counts do not depend on the tile size.
     """
     if cfg.kind != "rate":
         raise ValueError("rate_benchmark needs a RateBenchmark config")
@@ -542,23 +541,17 @@ def rate_benchmark(cfg: ProtocolConfig, noise: NoiseConfig, duration: float,
     n_runs = int(runs)
     n = cfg.n_photons
     counts = np.zeros(n, dtype=np.int64)
-    # queue[k]: runs alive through slot k - 1 that have not drawn slot k
-    empty = np.empty(0, dtype=np.uint64)
-    queue = [empty] * n
+    bounds = noise.eta ** np.arange(1, n + 1)
+    d0 = crng.slot_draw(0, crng.SLOT_DETECT)
     for lo in range(0, n_runs, RATE_TILE):
-        queue[0] = np.arange(lo, min(lo + RATE_TILE, n_runs), dtype=np.uint64)
-        drain = lo + RATE_TILE >= n_runs
+        u = crng.uniform(seed, np.arange(lo, min(lo + RATE_TILE, n_runs),
+                                         dtype=np.uint64), d0)
         for k in range(n):
-            alive = queue[k]
-            if len(alive) == 0 or len(alive) < RATE_TILE and not drain:
-                continue
-            u = crng.uniform(seed, alive, crng.slot_draw(k, crng.SLOT_DETECT))
-            # an index array selects far faster than a boolean mask
-            alive = alive[np.flatnonzero(u < noise.eta)]
-            counts[k] += len(alive)
-            queue[k] = empty
-            if k + 1 < n:
-                queue[k + 1] = np.concatenate((queue[k + 1], alive))
+            # a count over the whole tile is cheaper than thinning u
+            hits = np.count_nonzero(u < bounds[k])
+            if hits == 0:
+                break
+            counts[k] += hits
     return RateResult(counts, n_runs, n_runs * period, period)
 
 

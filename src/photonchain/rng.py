@@ -11,7 +11,8 @@ The mixer is the SplitMix64 finalizer applied twice to a combination of
 the three indices.  That is plenty for Monte Carlo work; statistical
 quality is checked by the Born-rule tests in the suite.
 
-Draw-index layout used by the engine (per shot):
+Draw-index layout used by the engine (per shot; ``rate_benchmark`` draws
+only the detection of slot 0, once per run):
 
 ====================  =======================================
 draw index            purpose

@@ -426,22 +426,25 @@ def test_rate_benchmark_counts():
         rate_benchmark(ProtocolConfig("ghz", 6), noise, 10.0, 0)
 
 
-def _full_mask_counts(n, eta, n_runs, seed):
-    """Coincidence counts with every slot drawn for every run."""
-    block = 1 << 17    # its own block size, apart from the engine's tile
-    counts = np.zeros(n, dtype=np.int64)
-    for lo in range(0, n_runs, block):
-        runs = np.arange(lo, min(lo + block, n_runs), dtype=np.uint64)
-        alive = np.ones(len(runs), dtype=bool)
-        for k in range(n):
-            alive &= crng.uniform(seed, runs, crng.slot_draw(
-                k, crng.SLOT_DETECT)) < eta
-            counts[k] += np.count_nonzero(alive)
-    return counts
+def _per_run_counts(n, eta, n_runs, seed):
+    """Coincidence counts from each run's slot-0 detection uniform: a run
+    counts up to order k exactly when it lies below eta^1 .. eta^k."""
+    runs = np.arange(n_runs, dtype=np.uint64)
+    u = crng.uniform(seed, runs, crng.slot_draw(0, crng.SLOT_DETECT))
+    below = (u[:, None] < eta ** np.arange(1, n + 1)).sum(axis=1)
+    return np.array([np.count_nonzero(below > k) for k in range(n)])
 
 
-# one tile short, one full tile, one past it, and several tiles whose
-# later slots draw only when the queues drain
+def _rate_counts(eta, n_runs, seed=23, n=14):
+    cfg = ProtocolConfig("rate", n)
+    result = rate_benchmark(cfg, NoiseConfig(eta0=eta),
+                            (n_runs + 0.5) * cfg.repetition_period, seed)
+    assert result.n_runs == n_runs
+    return result.counts
+
+
+# one tile short, one full tile, one past it, several tiles, and a last
+# tile of one run
 RATE_RUNS = [RATE_TILE - 1, RATE_TILE, RATE_TILE + 1, 5 * RATE_TILE + 3,
              8 * RATE_TILE - 1, 8 * RATE_TILE + 1, 1000]
 
@@ -449,40 +452,76 @@ RATE_RUNS = [RATE_TILE - 1, RATE_TILE, RATE_TILE + 1, 5 * RATE_TILE + 3,
 @pytest.mark.parametrize("eta", [0.0, 0.4318, 1.0])
 @pytest.mark.parametrize("n_runs", RATE_RUNS)
 def test_rate_benchmark_matches_full_mask_loop(eta, n_runs):
-    cfg = ProtocolConfig("rate", 14)
-    result = rate_benchmark(cfg, NoiseConfig(eta0=eta),
-                            (n_runs + 0.5) * cfg.repetition_period, seed=23)
-    assert result.n_runs == n_runs
-    assert np.array_equal(result.counts,
-                          _full_mask_counts(14, eta, n_runs, 23))
+    assert np.array_equal(_rate_counts(eta, n_runs),
+                          _per_run_counts(14, eta, n_runs, 23))
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.4318, 1.0])
+@pytest.mark.parametrize("n_runs", [6, 7, 8, 38, 20000])
+def test_rate_counts_do_not_depend_on_the_tile(monkeypatch, eta, n_runs):
+    monkeypatch.setattr(engine, "RATE_TILE", 7)
+    assert np.array_equal(_rate_counts(eta, n_runs),
+                          _per_run_counts(14, eta, n_runs, 23))
 
 
 @pytest.mark.parametrize("eta", [0.4318, 1.0])
 @pytest.mark.parametrize("n_runs", RATE_RUNS)
 def test_rate_benchmark_draws_each_live_slot_once(monkeypatch, eta, n_runs):
-    # slot k draws once for each run alive through slot k - 1 and never
-    # for any other run: n_runs + sum_{k < N-1} counts[k] draws in all
-    n = 14
-    drawn = [[] for _ in range(n)]
+    # only slot 0's detection draw is live: each run draws it once, and
+    # counts[0] is its Bernoulli(eta) count, as in the per-slot chain
+    d0 = crng.slot_draw(0, crng.SLOT_DETECT)
+    drawn = []
     real = crng.uniform
 
     def spy(seed, shot, d):
-        drawn[(d - crng.SLOT_BASE) // crng.SLOT_STRIDE].append(shot.copy())
+        assert d == d0
+        drawn.append(shot.copy())
         return real(seed, shot, d)
 
     monkeypatch.setattr(crng, "uniform", spy)
-    cfg = ProtocolConfig("rate", n)
-    counts = rate_benchmark(cfg, NoiseConfig(eta0=eta),
-                            (n_runs + 0.5) * cfg.repetition_period,
-                            seed=23).counts
+    counts = _rate_counts(eta, n_runs)
+    runs = np.arange(n_runs, dtype=np.uint64)
+    assert np.array_equal(np.sort(np.concatenate(drawn)), runs)
+    assert sum(map(len, drawn)) == n_runs
+    assert counts[0] == np.count_nonzero(real(23, runs, d0) < eta)
+
+
+def _per_slot_chain(n, eta, n_runs, seed):
+    """The per-slot detection chain: slot k draws its own Bernoulli(eta)
+    for each run alive through slot k - 1."""
+    counts = np.zeros(n, dtype=np.int64)
     alive = np.arange(n_runs, dtype=np.uint64)
     for k in range(n):
-        runs = np.sort(np.concatenate(drawn[k])) if drawn[k] else alive[:0]
-        assert np.array_equal(runs, alive), k
-        alive = alive[real(23, alive, crng.slot_draw(
-            k, crng.SLOT_DETECT)) < eta]
-        assert len(alive) == counts[k]
-    assert sum(map(len, sum(drawn, []))) == n_runs + counts[:-1].sum()
+        u = crng.uniform(seed, alive, crng.slot_draw(k, crng.SLOT_DETECT))
+        alive = alive[u < eta]
+        counts[k] = len(alive)
+    return counts
+
+
+def _prefix_chi2(counts, n_runs, eta):
+    """Pearson chi^2 of the detected-prefix lengths 0 .. N against the
+    truncated geometric law eta^k (1 - eta), eta^N at k = N."""
+    n = len(counts)
+    hist = -np.diff(np.concatenate(([n_runs], counts, [0])))
+    p = eta ** np.arange(n + 1) * np.append(np.full(n, 1.0 - eta), 1.0)
+    want = n_runs * p
+    assert want.min() > 5    # every bin well filled
+    return float(np.sum((hist - want) ** 2 / want))
+
+
+# the 0.999 quantile of chi^2 with 14 degrees of freedom (15 bins)
+CHI2_14_999 = 36.12
+
+
+def test_rate_prefix_lengths_follow_the_truncated_geometric_law():
+    eta, n, n_runs, seed = 0.4318, 14, 2_000_000, 29
+    counts = _rate_counts(eta, n_runs, seed, n)
+    assert _prefix_chi2(counts, n_runs, eta) < CHI2_14_999
+    # the per-slot chain it replaces meets the same bound
+    chain = _per_slot_chain(n, eta, n_runs, seed)
+    assert _prefix_chi2(chain, n_runs, eta) < CHI2_14_999
+    # and the bound tells a neighbouring efficiency apart
+    assert _prefix_chi2(counts, n_runs, 0.44) > CHI2_14_999
 
 
 @pytest.mark.parametrize("duration", [math.inf, math.nan, 1e-4, 1e30])

@@ -19,7 +19,8 @@ and quartiles of each side, the ratio of the medians, the pairs the change
 wins and whether the gap between the medians exceeds the parent's
 quartile spread.  ``--claim WORKLOAD:METRIC`` adds a verdict for one
 metric: the change must win at least 9 of the 10 pairs and beat that
-spread.
+spread.  The file's top-level ``incorrect`` list names every (seed, side,
+workload, traced) result that is not correct or had failed operations.
 """
 
 from __future__ import annotations
@@ -73,8 +74,10 @@ def clear_bytecode(root: Path) -> None:
         shutil.rmtree(cache, ignore_errors=True)
 
 
-def run_all(root: Path, seed: int, seconds: float, trace: int) -> dict:
-    """One ``--workload all`` run from ``root``: its per-workload JSON."""
+def run_all(side: str, seed: int, seconds: float, trace: int) -> dict:
+    """One ``--workload all`` run from ``side``'s export: its per-workload
+    JSON, the last line the run prints."""
+    root = WORKDIR / side
     clear_bytecode(root)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "all",
@@ -83,7 +86,12 @@ def run_all(root: Path, seed: int, seconds: float, trace: int) -> dict:
         cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise RuntimeError(f"the {side} run at seed {seed} (trace {trace}) "
+                           f"printed no result line (exit code "
+                           f"{proc.returncode})")
+    return json.loads(lines[-1])
 
 
 def flatten(result: dict) -> dict:
@@ -91,6 +99,15 @@ def flatten(result: dict) -> dict:
                    "failed": res["failed"],
                    **{k: v["value"] for k, v in res["metrics"].items()}}
             for name, res in result.items()}
+
+
+def incorrect(seed: int, side: str, traced: bool, workloads: dict) -> list:
+    """The flattened results of one run that are not correct or had
+    failed operations."""
+    return [{"seed": seed, "side": side, "workload": wl, "traced": traced,
+             "correct": res["correct"], "failed": res["failed"]}
+            for wl, res in workloads.items()
+            if not res["correct"] or res["failed"] > 0]
 
 
 def spread(values: list) -> dict:
@@ -152,9 +169,8 @@ def main(argv=None) -> int:
     ap.add_argument("--claim", default=None, metavar="WORKLOAD:METRIC")
     args = ap.parse_args(argv)
 
-    roots = {side: WORKDIR / side for side in SIDES}
-    revs = {"parent": export("HEAD", roots["parent"]),
-            "change": export(None, roots["change"])}
+    revs = {"parent": export("HEAD", WORKDIR / "parent"),
+            "change": export(None, WORKDIR / "change")}
     bench = json.loads((REPO / "BENCHMARK.json").read_text())
     seconds, metrics = bench["run_seconds"], bench["end_to_end"]
     out_path = REPO / f"BENCH_{args.pr}.json"
@@ -181,15 +197,16 @@ def main(argv=None) -> int:
         "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version()},
         "seeds": list(range(1, PAIRS + 1)),
+        "incorrect": [],
         "runs": [],
     }
     for k in doc["seeds"]:
         for side in ordered(k):
             started = time.strftime("%H:%M:%S", time.gmtime())
-            res = run_all(roots[side], k, seconds, 0)
+            res = flatten(run_all(side, k, seconds, 0))
             doc["runs"].append({"seed": k, "side": side,
-                                "started_utc": started,
-                                "workloads": flatten(res)})
+                                "started_utc": started, "workloads": res})
+            doc["incorrect"] += incorrect(k, side, False, res)
             print(f"seed {k} {side} done", file=sys.stderr)
             record(doc)
     doc["summary"] = summarize(doc["runs"], metrics)
@@ -201,9 +218,9 @@ def main(argv=None) -> int:
         doc["trace"][f"seed{k}"] = {}
         for side in ordered(k):
             started = time.strftime("%H:%M:%S", time.gmtime())
-            res = run_all(roots[side], k, seconds, 1)
-            doc["trace"][f"seed{k}"][side] = {"started_utc": started,
-                                             **flatten(res)}
+            res = flatten(run_all(side, k, seconds, 1))
+            doc["trace"][f"seed{k}"][side] = {"started_utc": started, **res}
+            doc["incorrect"] += incorrect(k, side, True, res)
             print(f"traced seed {k} {side} done", file=sys.stderr)
             record(doc)
     record(doc)
