@@ -64,7 +64,6 @@ _OVERRIDES = {
     "measurement": ("measurement", "preset"),
     "phi_points": ("measurement", "phi_points"),
     "shots": ("execution", "shots"), "seed": ("execution", "seed"),
-    "threads": ("execution", "threads"),
     "duration": ("execution", "duration"),
 }
 
@@ -93,7 +92,6 @@ def simulate(cfg: pio.RunConfig, path: Path) -> list:
     plans = cfg.measurement.plans(cfg.protocol.n_photons)
     batches = []
     for batch in run_plans(cfg.protocol, cfg.noise, plans, ex.shots, ex.seed,
-                           threads=ex.threads,
                            abort_on_loss=ex.abort_on_loss):
         batches.append(batch)
         codes = "".join(b.code() if b.kind == "Z" else "E"
@@ -362,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", type=int, help="number of photons")
     sim.add_argument("--shots", type=int)
     sim.add_argument("--seed", type=int)
-    sim.add_argument("--threads", type=int)
     sim.add_argument("--duration", type=float,
                      help="simulated seconds (rate mode)")
     sim.add_argument("--measurement",

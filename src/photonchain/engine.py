@@ -9,13 +9,12 @@ the test suite.
 
 Shots are independent and all randomness is addressed through the
 counter-based streams in :mod:`photonchain.rng`, so results are
-byte-identical for a given (config, noise, seed) regardless of batching
-or thread count.  Internally shots are evolved in vectorized blocks.
+byte-identical for a given (config, noise, seed) regardless of batching.
+Internally shots are evolved in vectorized blocks, one after another.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -415,7 +414,7 @@ def _simulate_chunk(ops: tuple, touch: tuple, n_att: int, noise: NoiseConfig,
 
 
 def _run_range(cfg, noise: NoiseConfig, basis_plan, seed: int, lo: int,
-               hi: int, threads: int, abort_on_loss: bool,
+               hi: int, abort_on_loss: bool,
                flip_f2_sign: bool) -> RecordBatch:
     """The records of shots ``lo .. hi-1``: one batch, preallocated and
     filled in place chunk by chunk (at criterion-scale shot counts, tens
@@ -446,23 +445,14 @@ def _run_range(cfg, noise: NoiseConfig, basis_plan, seed: int, lo: int,
     # eta^(N-1) of its shots to evolve, so its per-op overhead, not its
     # memory, sets its size
     chunk = CHUNK * 4 if abort_on_loss else CHUNK
-
-    def work(a):
+    for a in range(0, size, chunk):
         _simulate_chunk(ops, touch, n_att, noise, seed, out, a,
                         min(a + chunk, size), abort_on_loss)
-
-    starts = range(0, size, chunk)
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(work, starts))
-    else:
-        for a in starts:
-            work(a)
     return out
 
 
 def run_batch(cfg, noise: NoiseConfig, basis_plan, shots: int, seed: int,
-              threads: int = 1, abort_on_loss: bool = False,
+              abort_on_loss: bool = False,
               flip_f2_sign: bool = True) -> RecordBatch:
     """Simulate ``shots`` independent runs of the protocol.
 
@@ -476,8 +466,8 @@ def run_batch(cfg, noise: NoiseConfig, basis_plan, shots: int, seed: int,
     downstream analysis post-selects on full detection.  ``detected`` and
     ``outcomes`` are column-major.
     """
-    return _run_range(cfg, noise, basis_plan, seed, 0, shots, threads,
-                      abort_on_loss, flip_f2_sign)
+    return _run_range(cfg, noise, basis_plan, seed, 0, shots, abort_on_loss,
+                      flip_f2_sign)
 
 
 def run_shot(schedule, noise: NoiseConfig, bases, seed: int,
@@ -485,7 +475,7 @@ def run_shot(schedule, noise: NoiseConfig, bases, seed: int,
     """Single shot, drawn from the stream (seed, shot_index), as a one-row
     batch equal to row ``shot_index`` of :func:`run_batch`."""
     return _run_range(schedule, noise, bases, seed, shot_index,
-                      shot_index + 1, 1, False, True)
+                      shot_index + 1, False, True)
 
 
 def run_plans(cfg, noise: NoiseConfig, plans, shots: int, seed: int,

@@ -84,13 +84,12 @@ class MeasurementPlan:
 class ExecutionPlan:
     shots: int = 10000
     seed: int = 0
-    threads: int = 1
     duration: float = 3600.0        # rate mode, simulated seconds
     abort_on_loss: bool = False
 
     def __post_init__(self):
-        if self.shots < 1 or self.threads < 1:
-            raise ConfigError("shots and threads must be positive")
+        if self.shots < 1:
+            raise ConfigError("shots must be positive")
         if not 0 <= self.seed < 2 ** 63:
             raise ConfigError(f"seed {self.seed} outside [0, 2^63)")
         if not 0 < self.duration < math.inf:

@@ -1,9 +1,9 @@
-"""Counter-based random streams for reproducible parallel Monte Carlo.
+"""Counter-based random streams for reproducible Monte Carlo.
 
 Every random draw in a simulation is addressed by ``(seed, shot, draw)``
 and computed by a stateless 64-bit mixing function.  A draw depends on
 those three indices only, so results are byte-identical no matter how
-shots are batched or spread over threads, drawing for any subset of shots
+shots are batched or split into chunks, drawing for any subset of shots
 gives those shots the same values as drawing for all of them, and no
 generator state ever has to be carried around or split.
 

@@ -71,6 +71,8 @@ class TimingTable:
                      "cycle_dd"):
             if getattr(self, name) <= 0:
                 raise ScheduleError(f"timing {name} must be positive")
+        if self.overhead < 0:
+            raise ScheduleError("timing overhead must not be negative")
         if self.pi_half <= 0:
             raise ScheduleError("qubit_gate_total leaves no room for the "
                                 "pi/2 pulse")

@@ -1,11 +1,9 @@
 """Test-session setup.
 
 The engine's matrix products are small, yet they wake a second OpenBLAS
-thread that spins on another core.  That thread competes with the engine's
-own worker threads (see ``DECAY_THREADS`` in ``test_acceptance.py``) and
-buys no speed, so BLAS runs single-threaded unless the caller says
-otherwise.  Records do not depend on it.  This must run before numpy is
-first imported.
+thread that spins on another core and buys no speed, so BLAS runs
+single-threaded unless the caller says otherwise.  Records do not depend
+on it.  This must run before numpy is first imported.
 """
 
 import os

@@ -280,10 +280,6 @@ def test_criterion_5_witness_soundness(capsys):
 GHZ_NS = (4, 6, 8, 10, 12)
 GHZ_EVENTS = {4: 2500, 6: 2500, 8: 2500, 10: 2500, 12: 2500}
 
-# records do not depend on the thread count (criterion 9), so the long
-# decay runs of criteria 6-7 split their chunks over two worker threads
-DECAY_THREADS = 2
-
 
 @pytest.fixture(scope="module")
 def ghz_decay():
@@ -292,11 +288,10 @@ def ghz_decay():
         cfg = ProtocolConfig("ghz", n)
         shots = int(GHZ_EVENTS[n] / ETA ** n) + 1
         zb = run_batch(cfg, CAL, [MeasBasis.z()] * n, shots, seed=600 + n,
-                       threads=DECAY_THREADS, abort_on_loss=True)
+                       abort_on_loss=True)
         p = populations(zb, n)
         del zb  # tens of millions of shots at N = 12; free before parity
-        fit = parity_visibility_run(cfg, CAL, shots, seed=700 + n,
-                                    threads=DECAY_THREADS)
+        fit = parity_visibility_run(cfg, CAL, shots, seed=700 + n)
         fids.append(ghz_fidelity(p, fit.amplitude))
     return decay_fit(GHZ_NS, fids), fids
 
@@ -322,11 +317,11 @@ def test_criterion_7_cluster_vs_ghz(capsys, ghz_decay):
         odd = run_batch(cfg, CAL,
                         [MeasBasis.x() if k % 2 == 0 else MeasBasis.z()
                          for k in range(n)], shots, seed=800 + n,
-                        threads=DECAY_THREADS, abort_on_loss=True)
+                        abort_on_loss=True)
         even = run_batch(cfg, CAL,
                          [MeasBasis.z() if k % 2 == 0 else MeasBasis.x()
                           for k in range(n)], shots, seed=850 + n,
-                         threads=DECAY_THREADS, abort_on_loss=True)
+                         abort_on_loss=True)
         bounds.append(cluster_witness(odd, even, n).bound)
     cl_fit = decay_fit(ns, bounds)
     ratio = cl_fit.slope.value / ghz_fit.slope.value
@@ -381,7 +376,8 @@ def test_criterion_8_dynamical_decoupling(capsys):
 # ---------------------------------------------------------------------------
 # 9. determinism and round-trip
 
-def test_criterion_9_determinism_roundtrip(capsys, tmp_path):
+def test_criterion_9_determinism_roundtrip(capsys, tmp_path, monkeypatch):
+    from photonchain import engine
     from photonchain.io import read_records, write_records, write_summary
 
     noise = NoiseConfig(eta0=0.8, raman_sigma=0.1, closing_scatter_p=0.05,
@@ -390,8 +386,11 @@ def test_criterion_9_determinism_roundtrip(capsys, tmp_path):
     bases = [MeasBasis.x(), MeasBasis.z(), MeasBasis.equator(0.7),
              MeasBasis.z()]
     shots = (1 << 15) + 500
-    a = run_batch(cfg, noise, bases, shots, seed=42, threads=1)
-    b = run_batch(cfg, noise, bases, shots, seed=42, threads=4)
+    a = run_batch(cfg, noise, bases, shots, seed=42)
+    # the same run in 34 chunks of up to 1000 shots, not 5 of up to 8192
+    with monkeypatch.context() as m:
+        m.setattr(engine, "CHUNK", 1000)
+        b = run_batch(cfg, noise, bases, shots, seed=42)
     det_ok = (np.array_equal(a.outcomes, b.outcomes)
               and np.array_equal(a.detected, b.detected)
               and np.array_equal(a.deltas, b.deltas)

@@ -91,6 +91,9 @@ def test_invalid_usage_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"protocol": {"kind": "ghz", "zzz": 1}}')
     assert run(["simulate", "--config", str(bad), "--outdir", out]) == 2
+    with pytest.raises(SystemExit) as exc:                 # no such flag
+        run(["simulate", "--kind", "ghz", "--threads", "2", "--outdir", out])
+    assert exc.value.code == 2
     assert run(["analyze", "--outdir", out]) == 2            # nothing given
     assert run(["analyze", "--records", f"{out}/missing.csv",
                 "--outdir", out]) == 3

@@ -91,28 +91,6 @@ def test_parity_is_cos_n_phi():
     assert abs(m - np.cos(n * phi)) < 4 * sig
 
 
-def test_thread_determinism():
-    cfg = ProtocolConfig("ghz", 3)
-    bases = [MeasBasis.x()] * 3
-    shots = CHUNK * 2 + 100      # force multiple chunks
-    a = run_batch(cfg, NOISELESS, bases, shots, seed=5, threads=1)
-    b = run_batch(cfg, NOISELESS, bases, shots, seed=5, threads=4)
-    assert np.array_equal(a.outcomes, b.outcomes)
-    assert np.array_equal(a.detected, b.detected)
-    assert np.array_equal(a.deltas, b.deltas)
-
-
-def test_determinism_with_noise():
-    noise = NoiseConfig(eta0=0.6, raman_sigma=0.1, closing_scatter_p=0.1,
-                        b_sigma=1e-3)
-    cfg = ProtocolConfig("cluster", 4)
-    bases = [MeasBasis.x(), MeasBasis.z(), MeasBasis.x(), MeasBasis.z()]
-    a = run_batch(cfg, noise, bases, 5000, seed=9)
-    b = run_batch(cfg, noise, bases, 5000, seed=9, threads=3)
-    assert np.array_equal(a.outcomes, b.outcomes)
-    assert np.array_equal(a.attempts, b.attempts)
-
-
 def test_run_shot_matches_batch_row():
     ghz, cluster = ProtocolConfig("ghz", 3), ProtocolConfig("cluster", 4)
     per_cycle = NoiseConfig(eta0=0.8, raman_sigma=0.05, closing_scatter_p=0.3,
@@ -139,9 +117,8 @@ def test_run_shot_matches_batch_row():
 @pytest.mark.parametrize("b_model", ["quasi-static", "per-cycle"])
 @pytest.mark.parametrize("kind,n", [("cluster", 5), ("ghz", 6)])
 def test_records_do_not_depend_on_chunk_size(monkeypatch, kind, n, b_model):
-    # a chunk reuses each distinct precession's phase factors; neither the
-    # chunk size nor the thread count may show in the records, with or
-    # without abort_on_loss
+    # a chunk reuses each distinct precession's phase factors; the chunk
+    # size may not show in the records, with or without abort_on_loss
     cfg = ProtocolConfig(kind, n)
     noise = NoiseConfig(eta0=0.6, raman_sigma=0.05, closing_scatter_p=0.1,
                         b_sigma=1e-3, b_model=b_model)
@@ -153,14 +130,12 @@ def test_records_do_not_depend_on_chunk_size(monkeypatch, kind, n, b_model):
                          abort_on_loss=abort)
         for chunk in (1000, 4097):
             monkeypatch.setattr(engine, "CHUNK", chunk)
-            for threads in (1, 3):
-                got = run_batch(cfg, noise, bases, shots, seed=37,
-                                threads=threads, abort_on_loss=abort)
-                for col in ("detected", "outcomes", "attempts", "deltas",
-                            "run_ids"):
-                    assert np.array_equal(getattr(got, col),
-                                          getattr(want, col)), (abort, chunk,
-                                                                threads, col)
+            got = run_batch(cfg, noise, bases, shots, seed=37,
+                            abort_on_loss=abort)
+            for col in ("detected", "outcomes", "attempts", "deltas",
+                        "run_ids"):
+                assert np.array_equal(getattr(got, col),
+                                      getattr(want, col)), (abort, chunk, col)
             monkeypatch.undo()
 
 

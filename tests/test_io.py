@@ -40,13 +40,14 @@ def test_parse_sectioned_config():
                      "timings": {"cycle_cluster": 250e-6}},
         "noise": {"eta0": 0.8, "b_sigma": 1e-3, "b_model": "per-cycle"},
         "measurement": {"preset": "parity-grid", "phi_points": 13},
-        "execution": {"shots": 777, "seed": 3, "threads": 2},
+        "execution": {"shots": 777, "seed": 3, "abort_on_loss": True},
     })
     assert cfg.protocol.kind == "cluster"
     assert cfg.protocol.timings.cycle_cluster == pytest.approx(250e-6)
     assert cfg.noise.b_model == "per-cycle"
     assert cfg.measurement.phi_points == 13
     assert cfg.execution.shots == 777
+    assert cfg.execution.abort_on_loss
 
 
 def test_parse_flat_shorthand():
@@ -60,6 +61,9 @@ def test_unknown_keys_rejected_by_name():
         parse_config({"protocol": {"kind": "ghz", "frobnicate": 1}})
     with pytest.raises(ConfigError, match="extras"):
         parse_config({"protocol": {"kind": "ghz"}, "extras": {}})
+    with pytest.raises(ConfigError, match="threads"):
+        parse_config({"protocol": {"kind": "ghz"},
+                      "execution": {"threads": 2}})
     with pytest.raises(ConfigError, match="kind"):
         parse_config({"protocol": {"n_photons": 3}})
     with pytest.raises(ConfigError):

@@ -33,6 +33,9 @@ def test_timing_validation():
         TimingTable(qubit_gate_total=100e-6)   # pi/2 pulse would be < 0
     with pytest.raises(ScheduleError):
         T.cycle_slack(50e-6, 132.5e-6)         # gate does not fit GHZ cycle
+    with pytest.raises(ScheduleError, match="overhead"):
+        TimingTable(overhead=-0.01)            # runs would overlap
+    assert TimingTable(overhead=0.0).overhead == 0.0
 
 
 def test_protocol_validation():

@@ -20,7 +20,10 @@ wins and whether the gap between the medians exceeds the parent's
 quartile spread.  ``--claim WORKLOAD:METRIC`` adds a verdict for one
 metric: the change must win at least 9 of the 10 pairs and beat that
 spread.  The file's top-level ``incorrect`` list names every (seed, side,
-workload, traced) result that is not correct or had failed operations.
+workload, traced) result that is not correct or had failed operations,
+and its ``trace_share`` block gives, per traced run, side and workload,
+the share of the traced wall left to the benchmark's own code, beside the
+share that ``perfbench/checks.py`` allows it.
 """
 
 from __future__ import annotations
@@ -37,6 +40,10 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "perfbench"))
+
+from checks import BENCH_FLOOR_S, BENCH_SHARE  # noqa: E402
+
 SIDES = ("parent", "change")
 WORKDIR = REPO / ".bench_build"
 PAIRS = 10
@@ -108,6 +115,21 @@ def incorrect(seed: int, side: str, traced: bool, workloads: dict) -> list:
              "correct": res["correct"], "failed": res["failed"]}
             for wl, res in workloads.items()
             if not res["correct"] or res["failed"] > 0]
+
+
+def trace_share(trace: dict) -> dict:
+    """``bench.self_s / trace.wall_s`` of every traced run, per seed, side
+    and workload: the share of the traced wall that no program layer
+    claims, which ``checks.trace_accounts`` holds to ``BENCH_SHARE`` of
+    the wall plus ``BENCH_FLOOR_S``."""
+    out = {"bench_share": BENCH_SHARE, "bench_floor_s": BENCH_FLOOR_S}
+    for key, sides in trace.items():
+        if key.startswith("seed"):
+            out[key] = {side: {wl: res["bench.self_s"] / res["trace.wall_s"]
+                               for wl, res in run.items()
+                               if isinstance(res, dict)}
+                        for side, run in sides.items()}
+    return out
 
 
 def spread(values: list) -> dict:
@@ -221,6 +243,7 @@ def main(argv=None) -> int:
             res = flatten(run_all(side, k, seconds, 1))
             doc["trace"][f"seed{k}"][side] = {"started_utc": started, **res}
             doc["incorrect"] += incorrect(k, side, True, res)
+            doc["trace_share"] = trace_share(doc["trace"])
             print(f"traced seed {k} {side} done", file=sys.stderr)
             record(doc)
     record(doc)
